@@ -49,18 +49,34 @@ class LinearForecaster:
         self.intercepts.flags.writeable = False
 
     def predict(self, X: np.ndarray, start: int | None = None) -> np.ndarray:
+        return self.predict_batch(np.asarray(X, dtype=float)[None])[0]
+
+    def predict_batch(self, X: np.ndarray, starts=None) -> np.ndarray:
+        """(n, L, d) lookbacks -> (n, H, d) forecasts, one gemm per channel."""
         X = np.asarray(X, dtype=float)
-        if X.shape != (self.lookback, self.channels):
+        if X.shape[1:] != (self.lookback, self.channels):
             raise ValueError(
-                f"lookback shape {X.shape}, fitted for {(self.lookback, self.channels)}"
+                f"lookback shape {X.shape[1:]}, fitted for {(self.lookback, self.channels)}"
             )
-        out = np.empty((self.horizon, self.channels))
+        out = np.empty((X.shape[0], self.horizon, self.channels))
         for c in range(self.channels):
-            out[:, c] = X[:, c] @ self.weights[c] + self.intercepts[c]
+            out[:, :, c] = X[:, :, c] @ self.weights[c] + self.intercepts[c]
         return out
 
     def param_digest(self) -> str:
         return _digest_arrays(self.weights, self.intercepts)
+
+
+def predict_batch(backbone, X: np.ndarray, starts) -> np.ndarray:
+    """Forecasts (n, H, d) for lookbacks (n, L, d) whose targets start at `starts`.
+
+    Uses the backbone's own `predict_batch(X, starts)` when it has one and
+    otherwise calls `predict` window by window, in order.
+    """
+    batch = getattr(backbone, "predict_batch", None)
+    if batch is not None:
+        return batch(X, starts)
+    return np.stack([backbone.predict(x, start=t) for x, t in zip(X, starts)])
 
 
 def fit_linear_backbone(
@@ -195,13 +211,15 @@ class NormalizationWrapper:
         return self.inner.channels
 
     def predict(self, X: np.ndarray, start: int | None = None) -> np.ndarray:
+        return self.predict_batch(np.asarray(X, dtype=float)[None], [start])[0]
+
+    def predict_batch(self, X: np.ndarray, starts) -> np.ndarray:
         if not self.enabled:
-            return self.inner.predict(X, start=start)
+            return predict_batch(self.inner, X, starts)
         X = np.asarray(X, dtype=float)
-        mu = X.mean(axis=0)
-        sd = np.maximum(X.std(axis=0), self.STD_FLOOR)
-        inner_out = self.inner.predict((X - mu) / sd, start=start)
-        return inner_out * sd + mu
+        mu = X.mean(axis=1, keepdims=True)
+        sd = np.maximum(X.std(axis=1, keepdims=True), self.STD_FLOOR)
+        return predict_batch(self.inner, (X - mu) / sd, starts) * sd + mu
 
     def param_digest(self) -> str:
         return self.inner.param_digest()

@@ -54,33 +54,39 @@ def empty_boundary(horizon: int, channels: int) -> PrefixBoundary:
     )
 
 
-def estimate_dominant_period(
-    lookback: np.ndarray, fallback: int = 2, zero_tol: float = 1e-12
-) -> int:
-    """Dominant period of the lookback window via the mean amplitude spectrum.
+def estimate_periods(
+    lookbacks: np.ndarray, fallback: int = 2, zero_tol: float = 1e-12
+) -> np.ndarray:
+    """Dominant period of each lookback window in a (n, L, d) batch.
 
-    Per channel the mean is removed and the real-input Fourier amplitude
-    spectrum is taken; amplitudes are averaged across channels and the
-    strongest nonzero-frequency bin k* wins, with ties broken toward the
+    Per window and channel the mean is removed and the real-input Fourier
+    amplitude spectrum is taken; amplitudes are averaged across channels and
+    the strongest nonzero-frequency bin k* wins, with ties broken toward the
     lower frequency (longer period). Returns round(L / k*) clamped to
     [2, L]. A flat lookback has an empty spectrum and falls back to the
     configured minimum prefix support.
     """
+    X = np.asarray(lookbacks, dtype=float)
+    L = X.shape[1]
+    if L < 4:
+        raise ValueError(f"period estimation needs lookback length >= 4, got {L}")
+    centered = X - X.mean(axis=1, keepdims=True)
+    amplitude = np.abs(np.fft.rfft(centered, axis=1)).mean(axis=2)[:, 1:]  # drop DC
+    peak = amplitude.max(axis=1, initial=0.0)
+    flat = peak <= zero_tol * np.maximum(1.0, np.abs(X).max(axis=(1, 2), initial=0.0))
+    k_star = np.argmax(amplitude, axis=1) + 1  # argmax takes the first (lowest) bin on ties
+    period = np.clip(np.rint(L / k_star).astype(int), 2, L)
+    return np.where(flat, fallback, period)
+
+
+def estimate_dominant_period(
+    lookback: np.ndarray, fallback: int = 2, zero_tol: float = 1e-12
+) -> int:
+    """Dominant period of one (L, d) or (L,) lookback; see `estimate_periods`."""
     X = np.atleast_2d(np.asarray(lookback, dtype=float))
     if np.ndim(lookback) == 1:
         X = X.T
-    L = X.shape[0]
-    if L < 4:
-        raise ValueError(f"period estimation needs lookback length >= 4, got {L}")
-    centered = X - X.mean(axis=0, keepdims=True)
-    amplitude = np.abs(np.fft.rfft(centered, axis=0)).mean(axis=1)
-    amplitude = amplitude[1:]  # drop DC
-    peak = float(amplitude.max(initial=0.0))
-    if peak <= zero_tol * max(1.0, float(np.abs(X).max())):
-        return fallback
-    k_star = int(np.argmax(amplitude)) + 1  # argmax takes the first (lowest) bin on ties
-    period = int(round(L / k_star))
-    return min(max(period, 2), L)
+    return int(estimate_periods(X[None], fallback, zero_tol)[0])
 
 
 def select_prefix_length(
@@ -161,6 +167,40 @@ class InvalidRatioError(ValueError):
     """Contamination ratio must lie in [0, 1]."""
 
 
+def contaminate_errors(
+    padded_errors: np.ndarray,
+    forecasts: np.ndarray,
+    lengths,
+    ratio: float,
+    sigma: np.ndarray,
+    rng_seeds,
+    magnitude: float = 6.0,
+) -> np.ndarray:
+    """Replace a fraction of each window's prefix observations by large outliers.
+
+    Fields are (n, H, d). For window i, per channel, ceil(ratio * a_i)
+    prefix positions are drawn without replacement from
+    `default_rng(rng_seeds[i])` (so bit-reproducible) and the observed value
+    there is replaced by +-magnitude * sigma_channel with a uniform random
+    sign. Returns the padded prefix errors rebuilt from the corrupted
+    observations; evaluation targets are never touched.
+    """
+    if not 0.0 <= ratio <= 1.0:
+        raise InvalidRatioError(f"contamination ratio must be in [0, 1], got {ratio}")
+    n, horizon, channels = forecasts.shape
+    sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (channels,))
+    observed = padded_errors + forecasts
+    for i, (a, seed) in enumerate(zip(lengths, rng_seeds)):
+        n_hit = math.ceil(ratio * a)
+        rng = np.random.default_rng(seed)
+        for c in range(channels):
+            pos = rng.choice(a, size=n_hit, replace=False)
+            signs = rng.choice([-1.0, 1.0], size=n_hit)
+            observed[i, pos, c] = signs * magnitude * sigma[c]
+    inside = np.arange(horizon) < np.asarray(lengths)[:, None]
+    return np.where(inside[..., None], observed - forecasts, 0.0)
+
+
 def contaminate_prefix(
     boundary: PrefixBoundary,
     forecast: np.ndarray,
@@ -169,28 +209,15 @@ def contaminate_prefix(
     rng_seed: int,
     magnitude: float = 6.0,
 ) -> PrefixBoundary:
-    """Replace a fraction of prefix observations by large outliers.
-
-    Per channel, ceil(ratio * a) positions are drawn without replacement
-    (seeded, so bit-reproducible) and the observed value there is replaced
-    by +-magnitude * sigma_channel with a uniform random sign. The prefix
-    error is rebuilt from the corrupted observations; evaluation targets are
-    never touched.
-    """
+    """One window's boundary under `contaminate_errors`; ratio 0 changes nothing."""
     if not 0.0 <= ratio <= 1.0:
         raise InvalidRatioError(f"contamination ratio must be in [0, 1], got {ratio}")
     if boundary.is_empty() or ratio == 0.0:
         return boundary
     a = boundary.length
     forecast = np.asarray(forecast, dtype=float)
-    channels = boundary.channels
-    sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (channels,))
-    observed = boundary.prefix_error + forecast[:a]
-    corrupted = observed.copy()
-    n_hit = math.ceil(ratio * a)
-    rng = np.random.default_rng(rng_seed)
-    for c in range(channels):
-        pos = rng.choice(a, size=n_hit, replace=False)
-        signs = rng.choice([-1.0, 1.0], size=n_hit)
-        corrupted[pos, c] = signs * magnitude * sigma[c]
-    return build_boundary(corrupted, forecast, a)
+    padded = contaminate_errors(
+        boundary.padded_error[None], forecast[None], [a], ratio, sigma, [rng_seed], magnitude
+    )[0]
+    mask = (np.arange(boundary.horizon) < a).astype(float)
+    return PrefixBoundary(length=a, prefix_error=padded[:a], padded_error=padded, mask=mask)

@@ -15,8 +15,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import backbones as bb
 from . import decoder as dec
 from .config import ConfigError, RolloutConfig, apply_overrides, load_config_file
@@ -37,6 +35,7 @@ from .rollout import (
     train_decoder_for,
     write_manifest,
     write_metrics_csv,
+    write_rows,
 )
 
 DATA_ENV = "SMOOTHTTA_DATA"
@@ -140,8 +139,8 @@ def _load_artifact(loader, path, what: str):
         raise ConfigError(f"bad {what} file {path!r}: {exc}") from exc
 
 
-def _prepare(args):
-    """Dataset, frozen backbone, and (when needed) a trained decoder."""
+def _prepare(args, need_decoder: bool = True):
+    """Dataset, frozen backbone, and (when needed and asked for) a trained decoder."""
     cfg = _build_config(args)
     ds = _load_dataset(args, cfg)
     if args.backbone:
@@ -158,7 +157,9 @@ def _prepare(args):
         backbone = bb.NormalizationWrapper(backbone, enabled=True)
 
     decoder_params = None
-    needs_decoder = not args.local_only and cfg.solver.effective_global_mix() > 0
+    needs_decoder = (
+        need_decoder and not args.local_only and cfg.solver.effective_global_mix() > 0
+    )
     if needs_decoder:
         if args.decoder:
             decoder_params = _load_artifact(dec.load_params, args.decoder, "decoder")
@@ -173,19 +174,6 @@ def _out_dir(args, name: str) -> Path:
     return out
 
 
-def _fmt(v) -> str:
-    return repr(float(v)) if isinstance(v, float) else str(v)
-
-
-def _write_rows(rows: list[dict], path: Path) -> None:
-    if not rows:
-        path.write_text("")
-        return
-    keys = list(rows[0].keys())
-    lines = [",".join(keys)] + [",".join(_fmt(r[k]) for k in keys) for r in rows]
-    path.write_text("\n".join(lines) + "\n")
-
-
 def cmd_fit_backbone(args) -> int:
     cfg = _build_config(args)
     ds = _load_dataset(args, cfg)
@@ -196,24 +184,12 @@ def cmd_fit_backbone(args) -> int:
 
 
 def cmd_train_decoder(args) -> int:
-    cfg, ds, backbone, _ = _prepare_no_decoder(args)
+    cfg, ds, backbone, _ = _prepare(args, need_decoder=False)
     params, trace = train_decoder_for(backbone, ds, cfg)
     dec.save_params(params, args.out, channels=ds.channels)
     print(f"trained decoder ({params.count()} parameters) -> {args.out}")
     print("loss trace: " + ", ".join(f"{x:.6f}" for x in trace))
     return 0
-
-
-def _prepare_no_decoder(args):
-    cfg = _build_config(args)
-    ds = _load_dataset(args, cfg)
-    if args.backbone:
-        backbone = bb.load_backbone(args.backbone)
-    else:
-        backbone = bb.fit_linear_backbone(ds.part("train"), cfg.lookback, cfg.horizon, args.ridge)
-    if args.normalize_backbone:
-        backbone = bb.NormalizationWrapper(backbone, enabled=True)
-    return cfg, ds, backbone, None
 
 
 def cmd_rollout(args) -> int:
@@ -237,7 +213,7 @@ def cmd_ablate(args) -> int:
         write_metrics_csv(report, out / f"metrics_{name}.csv")
         agg = report.aggregate()
         summary.append({"variant": name, **{k: agg[k] for k in ("mse_base", "mse_corrected", "improvement")}})
-    _write_rows(summary, out / "summary.csv")
+    write_rows(summary, out / "summary.csv")
     print(json.dumps(summary, indent=2))
     return 0
 
@@ -260,7 +236,7 @@ def cmd_contaminate(args) -> int:
     rows = summary.table()
     for row in rows:
         row["degradation"] = summary.degradation
-    _write_rows(rows, out / "contamination.csv")
+    write_rows(rows, out / "contamination.csv")
     for r, rep in summary.reports.items():
         write_metrics_csv(rep, out / f"metrics_ratio_{r:g}.csv")
     print(json.dumps({"degradation": summary.degradation,
@@ -317,7 +293,7 @@ def cmd_sparse_anchor(args) -> int:
         rows.append({"ratio": r, "mse_base": agg["mse_base"],
                      "mse_corrected": agg["mse_corrected"],
                      "improvement": agg["improvement"]})
-    _write_rows(rows, out / "summary.csv")
+    write_rows(rows, out / "summary.csv")
     print(json.dumps(rows, indent=2))
     return 0
 
@@ -329,7 +305,7 @@ def cmd_sweep(args) -> int:
         grid = tuple(float(g) for g in grid)
     rows = run_sweep(backbone, ds, cfg, decoder_params, args.parameter, grid)
     out = _out_dir(args, "sweep")
-    _write_rows(rows, out / "sweep.csv")
+    write_rows(rows, out / "sweep.csv")
     print(json.dumps(rows, indent=2, default=str))
     return 0
 
@@ -358,7 +334,7 @@ def cmd_bench(args) -> int:
     ]
     out = Path(args.out_dir) / "bench"
     out.mkdir(parents=True, exist_ok=True)
-    _write_rows(rows, out / "bench.csv")
+    write_rows(rows, out / "bench.csv")
     print(json.dumps(rows, indent=2))
     return 0
 
@@ -371,7 +347,7 @@ def cmd_dump_schedule(args) -> int:
         correction_clip=args.clip,
     )
     rows = schedule_table(schedule, args.horizon)
-    _write_rows(rows, Path(args.out))
+    write_rows(rows, Path(args.out))
     print(
         f"wrote {len(rows)} steps (transition at step {schedule.transition_step(args.horizon)}) -> {args.out}"
     )

@@ -118,17 +118,19 @@ def build_features(
     memory_template: np.ndarray,
     context: np.ndarray,
 ) -> np.ndarray:
-    """Per-channel feature rows, shape (d, 5H + 2K). Layout is versioned."""
-    parts = [forecast, local_field, padded_error, memory_template]
-    H, d = forecast.shape
-    for p in parts:
-        if p.shape != (H, d):
-            raise ValueError(f"field shape {p.shape} does not match forecast {(H, d)}")
-    mask_block = np.tile(mask, (d, 1))
-    z_block = np.tile(context, (d, 1))
-    return np.hstack(
-        [forecast.T, local_field.T, padded_error.T, mask_block, memory_template.T, z_block]
-    )
+    """Per-channel feature rows, shape (d, 5H + 2K). Layout is versioned.
+
+    Leading (window) axes on every input carry through to the output.
+    """
+    fields = [forecast, local_field, padded_error, memory_template]
+    for p in fields:
+        if p.shape != forecast.shape:
+            raise ValueError(f"field shape {p.shape} does not match forecast {forecast.shape}")
+    d = forecast.shape[-1]
+    f, loc, err, mem = (np.swapaxes(p, -1, -2) for p in fields)
+    mask_block = np.broadcast_to(mask[..., None, :], mask.shape[:-1] + (d, mask.shape[-1]))
+    z_block = np.broadcast_to(context[..., None, :], context.shape[:-1] + (d, context.shape[-1]))
+    return np.concatenate([f, loc, err, mask_block, mem, z_block], axis=-1)
 
 
 def _forward(params: DecoderParams, features: np.ndarray):
@@ -136,6 +138,32 @@ def _forward(params: DecoderParams, features: np.ndarray):
     t = np.tanh(z1)
     out = params.output_scale * (t @ params.W2.T + params.b2)
     return out, (features, t)
+
+
+def decode_batch(
+    params: DecoderParams,
+    forecasts: np.ndarray,
+    local_fields: np.ndarray,
+    padded_errors: np.ndarray,
+    masks: np.ndarray,
+    memory_templates: np.ndarray,
+    contexts: np.ndarray,
+) -> np.ndarray:
+    """Long-range response fields of n windows in one forward pass, (n, H, d).
+
+    The inputs are those of `decode` with a leading window axis.
+    """
+    n, H, d = forecasts.shape
+    if H != params.horizon:
+        raise ValueError(f"forecast horizon {H} does not match decoder {params.horizon}")
+    blocks = (forecasts, local_fields, padded_errors, masks, memory_templates, contexts)
+    feats = build_features(*blocks).reshape(n * d, -1)
+    if not np.all(np.isfinite(feats)):
+        names = ("forecast", "local_field", "padded_error", "mask", "memory_template", "context")
+        bad = [name for name, b in zip(names, blocks) if not np.all(np.isfinite(b))]
+        raise ValueError(f"decoder inputs contain non-finite values in: {bad}")
+    out, _ = _forward(params, feats)
+    return out.reshape(n, d, H).transpose(0, 2, 1)
 
 
 def decode(
@@ -148,29 +176,8 @@ def decode(
     context: np.ndarray,
 ) -> np.ndarray:
     """Long-range response field, shape (H, d). Pure and deterministic."""
-    if forecast.shape[0] != params.horizon:
-        raise ValueError(
-            f"forecast horizon {forecast.shape[0]} does not match decoder {params.horizon}"
-        )
-    feats = build_features(
-        forecast, local_field, padded_error, mask, memory_template, context
-    )
-    if not np.all(np.isfinite(feats)):
-        bad = [
-            name
-            for name, block in [
-                ("forecast", forecast),
-                ("local_field", local_field),
-                ("padded_error", padded_error),
-                ("mask", mask),
-                ("memory_template", memory_template),
-                ("context", context),
-            ]
-            if not np.all(np.isfinite(block))
-        ]
-        raise ValueError(f"decoder inputs contain non-finite values in: {bad}")
-    out, _ = _forward(params, feats)
-    return out.T
+    inputs = (forecast, local_field, padded_error, mask, memory_template, context)
+    return decode_batch(params, *(np.asarray(x, dtype=float)[None] for x in inputs))[0]
 
 
 def _loss_and_grads(

@@ -60,9 +60,11 @@ def fuse(
 ) -> np.ndarray:
     """clip(local + gamma * q(h) * global, -c, c), elementwise.
 
-    The max norm of the result never exceeds the clip, which is what keeps
-    contaminated boundaries from producing unbounded corrections. Non-finite
-    inputs are rejected up front instead of being laundered through the clip.
+    Fields are (H, d), or (n, H, d) for n windows at once. The max norm of
+    the result never exceeds the clip, which is what keeps contaminated
+    boundaries from producing unbounded corrections. Non-finite inputs (NaN
+    or +-inf) are rejected up front instead of being laundered through the
+    clip.
     """
     local_field = np.asarray(local_field, dtype=float)
     global_field = np.asarray(global_field, dtype=float)
@@ -70,9 +72,9 @@ def fuse(
         raise ValueError(
             f"field shapes differ: {local_field.shape} vs {global_field.shape}"
         )
-    if np.isnan(local_field).any() or np.isnan(global_field).any():
-        raise ValueError("correction fields contain NaN")
-    gate = global_gate(schedule, local_field.shape[0])[:, None]
+    if not (np.isfinite(local_field).all() and np.isfinite(global_field).all()):
+        raise ValueError("correction fields contain non-finite values (NaN or inf)")
+    gate = global_gate(schedule, local_field.shape[-2])[:, None]
     combined = local_field + gate * global_field
     c = schedule.correction_clip
     return np.clip(combined, -c, c)

@@ -22,7 +22,8 @@ class LocalCorrection:
     """Local branch output: the two basis fields, fitted coefficients, result.
 
     coefficients is (2, d): row 0 scales the propagated field, row 1 the bias
-    field, already clipped to the configured box.
+    field, already clipped to the configured box. Batched solves put the
+    window axis first on every field.
     """
 
     harmonic_field: np.ndarray
@@ -83,22 +84,36 @@ def fit_bounded_response(
 
     Solves min ||B_prefix beta - r||^2 + ridge * ||beta||^2 for each channel
     with B = [harmonic, bias], clips beta into [-coef_clip, coef_clip], and
-    scales the combined field by response_mix.
+    scales the combined field by response_mix. Leading (window) axes are
+    fitted together as one stacked 2x2 solve.
     """
     if not ridge_coef > 0:
         raise InvalidRidgeError(f"ridge coefficient must be > 0, got {ridge_coef}")
     R = np.asarray(prefix_error, dtype=float)
-    a, d = R.shape
-    beta = np.zeros((2, d))
-    for c in range(d):
-        B = np.column_stack([harmonic[:a, c], bias[:a, c]])
-        G = B.T @ B + ridge_coef * np.eye(2)
-        beta[:, c] = np.linalg.solve(G, B.T @ R[:, c])
+    a = R.shape[-2]
+    h, b = harmonic[..., :a, :], bias[..., :a, :]
+    G = np.empty(R.shape[:-2] + R.shape[-1:] + (2, 2))
+    G[..., 0, 0] = (h * h).sum(axis=-2) + ridge_coef
+    G[..., 0, 1] = G[..., 1, 0] = (h * b).sum(axis=-2)
+    G[..., 1, 1] = (b * b).sum(axis=-2) + ridge_coef
+    rhs = np.stack([(h * R).sum(axis=-2), (b * R).sum(axis=-2)], axis=-1)
+    beta = np.swapaxes(np.linalg.solve(G, rhs[..., None])[..., 0], -1, -2)
     beta = np.clip(beta, -coef_clip, coef_clip)
-    combined = response_mix * (harmonic * beta[0] + bias * beta[1])
+    combined = response_mix * (harmonic * beta[..., :1, :] + bias * beta[..., 1:, :])
     return LocalCorrection(
         harmonic_field=harmonic, bias_field=bias, coefficients=beta, combined=combined
     )
+
+
+_propagators: dict[tuple[int, float, int], np.ndarray] = {}
+
+
+def _propagator(op: TransferOperator, a: int) -> np.ndarray:
+    """Cached (H, a) map from a raw prefix error to its propagated fast part."""
+    key = (op.horizon, op.alpha, a)
+    if key not in _propagators:  # drift removal is linear: its matrix is the fast part of I
+        _propagators[key] = op.prefix_columns(a) @ extract_fast_error(np.eye(a))
+    return _propagators[key]
 
 
 def solve_local(
@@ -108,15 +123,20 @@ def solve_local(
     coef_clip: float = 0.5,
     response_mix: float = 0.55,
 ) -> LocalCorrection:
-    """Full local branch: drift removal, propagation, bias, bounded fit."""
-    horizon = op.horizon
-    d = boundary_error.shape[1]
-    if boundary_error.shape[0] == 0:
-        zero = np.zeros((horizon, d))
-        return LocalCorrection(zero, zero.copy(), np.zeros((2, d)), zero.copy())
-    fast = extract_fast_error(boundary_error)
-    harm = propagate_fast_error(op, fast)
-    bias = bias_field(boundary_error, horizon)
-    return fit_bounded_response(
-        harm, bias, boundary_error, ridge_coef, coef_clip, response_mix
-    )
+    """Full local branch: drift removal, propagation, bias, bounded fit.
+
+    boundary_error is (a, d), or (n, a, d) for n windows sharing the prefix
+    length a; every field of the result then has the same leading axes.
+    """
+    R = np.asarray(boundary_error, dtype=float)
+    *lead, a, d = R.shape
+    H = op.horizon
+    if a == 0:
+        zero = np.zeros((*lead, H, d))
+        return LocalCorrection(zero, zero.copy(), np.zeros((*lead, 2, d)), zero.copy())
+    if a > H:
+        raise ValueError(f"prefix length {a} exceeds operator horizon {H}")
+    columns = np.moveaxis(R, -2, 0).reshape(a, -1)  # every (window, channel) at once
+    harm = np.moveaxis((_propagator(op, a) @ columns).reshape(H, *lead, d), 0, -2)
+    bias = np.broadcast_to(R.mean(axis=-2, keepdims=True), harm.shape)
+    return fit_bounded_response(harm, bias, R, ridge_coef, coef_clip, response_mix)

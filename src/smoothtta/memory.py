@@ -63,6 +63,30 @@ def cold_start(horizon: int, channels: int, decay: float = 0.5, context_size: in
     )
 
 
+def fold_templates(template: np.ndarray, residuals, decay: float) -> np.ndarray:
+    """The template after each of k single-residual EMA updates, entry 0 before any."""
+    out = np.empty((len(residuals) + 1,) + template.shape)
+    out[0] = template
+    for j, r in enumerate(residuals):
+        out[j + 1] = decay * out[j] + (1.0 - decay) * r
+    return out
+
+
+def residual_summaries(residuals: np.ndarray) -> np.ndarray:
+    """(mean, mean_abs) of each (H, d) residual in a (k, H, d) stack, shape (k, 2)."""
+    flat = residuals.reshape(len(residuals), -1)
+    return np.column_stack([flat.mean(axis=1), np.abs(flat).mean(axis=1)])
+
+
+def context_rows(summaries: np.ndarray, versions, context_size: int) -> np.ndarray:
+    """Context vectors (n, 2K) of memories that have folded summaries[:versions[i]]."""
+    K = context_size
+    padded = np.zeros((K + len(summaries), 2))
+    padded[K:] = summaries
+    idx = np.asarray(versions)[:, None] + np.arange(K)
+    return padded[idx].reshape(len(idx), 2 * K)
+
+
 def update_memory(state: MemoryState, batch_residuals: list[np.ndarray]) -> MemoryState:
     """Fold a batch of completed-window residuals into the memory.
 
@@ -79,15 +103,13 @@ def update_memory(state: MemoryState, batch_residuals: list[np.ndarray]) -> Memo
         if r.shape != shape:
             raise ValueError(f"residual shape {r.shape} does not match memory {shape}")
     batch_mean = np.mean(residuals, axis=0)
-    template = state.decay * state.template + (1.0 - state.decay) * batch_mean
-    ring = list(state.context_ring)
-    for r in residuals:
-        ring.append((float(r.mean()), float(np.abs(r).mean())))
-    ring = ring[-state.context_size:]
+    template = fold_templates(state.template, batch_mean[None], state.decay)[1]
+    summaries = residual_summaries(np.stack(residuals))
+    ring = state.context_ring + tuple((float(m), float(ma)) for m, ma in summaries)
     return replace(
         state,
         template=template,
-        context_ring=tuple(ring),
+        context_ring=ring[-state.context_size:],
         updates=state.updates + 1,
     )
 
@@ -98,14 +120,8 @@ def context_vector(state: MemoryState) -> np.ndarray:
     Slots without a completed window yet are zero, padded at the front so
     the newest window always sits at the end of the vector.
     """
-    K = state.context_size
-    z = np.zeros(2 * K)
-    entries = state.context_ring[-K:]
-    offset = K - len(entries)
-    for i, (mean, mean_abs) in enumerate(entries):
-        z[2 * (offset + i)] = mean
-        z[2 * (offset + i) + 1] = mean_abs
-    return z
+    ring = np.array(state.context_ring[-state.context_size:], dtype=float).reshape(-1, 2)
+    return context_rows(ring, [len(ring)], state.context_size)[0]
 
 
 def save_snapshot(state: MemoryState, path) -> None:

@@ -1,39 +1,67 @@
-"""Sequential delayed-revelation rollout over a test split.
+"""Plan/execute delayed-revelation rollout over a data split.
 
-Windows are corrected in chronological order. For each one the frozen
-backbone predicts, the revealed prefix builds the boundary, the local branch
-propagates it, the global decoder reads the pre-window memory snapshot, and
-the fused bounded correction is applied. Only after a window's entire target
-horizon has elapsed is its residual folded into the error memory; a guard
-tracks the largest target index the memory has consumed and hard-fails if
-any window would be corrected with a memory that already saw its targets.
+The error memory reads only residuals Y - forecast, which never depend on a
+correction, so every window's memory snapshot is fixed before any window is
+corrected. `rollout` and `build_decoder_training_set` share one engine with
+two steps:
+
+- Plan. From the window starts and the windows flagged for a non-finite
+  forecast, index arithmetic gives each window's memory version (how many
+  earlier unflagged windows the memory has folded) and the last target index
+  that memory has read. The leakage guard is one assertion over the plan:
+  that index lies before the window's start, for every window. The
+  ``immediate`` schedule folds a window as soon as it is corrected and trips
+  the guard whenever windows overlap. Flags exist only once forecasts do, so
+  the plan grows chunk by chunk; a window's entry depends on earlier windows
+  only.
+- Execute. Windows run in chronological chunks under a fixed byte budget:
+  one backbone call, one FFT period estimate, the boundary (contamination
+  and anchors are transforms on the batched arrays, seeded per window
+  index), one local solve per prefix length, a streaming EMA fold of the
+  memory, one decoder pass over all (window, channel) rows and one clipped
+  fusion.
+
+The per-window API (`correct_window` and the functions it calls) runs the
+same kernels with a batch of one.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backbones import NormalizationWrapper
-from .boundary import (
-    PrefixBoundary,
-    anchor_boundary,
-    build_boundary,
-    contaminate_prefix,
-    empty_boundary,
-    estimate_dominant_period,
-    select_prefix_length,
-)
+from .backbones import predict_batch
+from .boundary import PrefixBoundary, contaminate_errors, estimate_periods, select_prefix_length
 from .chain import build_transfer_operator
 from .config import RolloutConfig
 from .data import DataError, Dataset
-from .decoder import DecoderParams, TrainConfig, build_features, decode, init_params, train_decoder
-from .fusion import FusionSchedule, apply_correction, fuse, global_gate
+from .decoder import (
+    DecoderParams,
+    TrainConfig,
+    build_features,
+    decode,
+    decode_batch,
+    init_params,
+    train_decoder,
+)
+from .fusion import FusionSchedule, fuse, global_gate
 from .local import solve_local
-from .memory import MemoryState, cold_start, context_vector, update_memory
+from .memory import (
+    MemoryState,
+    cold_start,
+    context_rows,
+    context_vector,
+    fold_templates,
+    residual_summaries,
+)
+
+# Execute-chunk budget for the decoder's feature rows, d * (5H + 2K) floats
+# per window; a chunk's other per-window arrays are of the same order.
+CHUNK_BYTES = 4 << 20
 
 
 class ContractViolation(RuntimeError):
@@ -84,13 +112,13 @@ def aggregate_rows(rows: list[dict], skip: int = 0, prefix: str = "") -> dict:
     return agg
 
 
-def _solver_schedule(config: RolloutConfig) -> FusionSchedule:
+def _solver_schedule(config: RolloutConfig, ablate: bool = True) -> FusionSchedule:
     s = config.solver
     return FusionSchedule(
-        global_mix=s.effective_global_mix(),
+        global_mix=s.effective_global_mix() if ablate else s.global_mix,
         ramp_sharpness=s.ramp_sharpness,
         ramp_midpoint=s.ramp_midpoint,
-        correction_clip=s.effective_clip(),
+        correction_clip=s.effective_clip() if ablate else s.correction_clip,
     )
 
 
@@ -102,7 +130,11 @@ def correct_window(
     config: RolloutConfig,
     operator=None,
 ) -> tuple[np.ndarray, dict]:
-    """One window's correction field and diagnostics, given its boundary."""
+    """One window's correction field and diagnostics, given its boundary.
+
+    The per-window counterpart of the engine's execute step, through the
+    same functions with a batch of one.
+    """
     s = config.solver
     horizon, d = forecast.shape
     schedule = _solver_schedule(config)
@@ -141,40 +173,179 @@ def correct_window(
     return delta, {"local": local_field, "global": global_field}
 
 
-def _window_starts(dataset: Dataset, config: RolloutConfig, part: str = "test") -> list[int]:
+def _window_starts(dataset: Dataset, config: RolloutConfig, part: str = "test") -> np.ndarray:
     lo, hi = dataset.range_of(part)
     L, H = config.lookback, config.horizon
     if hi - lo < L + H:
         raise DataError(
             f"{part} split has {hi - lo} points, needs at least lookback + horizon = {L + H}"
         )
-    starts = list(range(lo + L, hi - H + 1, config.effective_stride))
-    if config.max_windows is not None:
-        starts = starts[: config.max_windows]
-    return starts
+    return np.arange(lo + L, hi - H + 1, config.effective_stride)[: config.max_windows]
 
 
-def _select_prefix(X: np.ndarray, config: RolloutConfig, override: int | None) -> int:
+class _Plan:
+    """Window starts, flags and memory versions; grows as each chunk's flags arrive.
+
+    Unflagged windows feed the memory one at a time in chronological order,
+    so a window's memory version counts the earlier unflagged windows it may
+    read: under the safe schedule those whose horizon has elapsed
+    (t_j + H <= t_i), under ``immediate`` all of them.
+    """
+
+    def __init__(self, starts: np.ndarray, horizon: int, schedule: str):
+        self.starts, self.horizon, self.schedule = starts, horizon, schedule
+        self.known = 0  # windows whose flags have arrived
+        self.counts = np.zeros(len(starts) + 1, dtype=int)  # unflagged among the first k
+        self.fed = np.full(len(starts) + 1, -horizon)  # fed[v]: start of the v-th unflagged
+
+    @property
+    def n_flagged(self) -> int:
+        return int(self.known - self.counts[self.known])
+
+    def extend(self, ok: np.ndarray) -> np.ndarray:
+        """Add the next windows' flags; their memory versions, leakage-checked."""
+        lo, hi = self.known, self.known + len(ok)
+        self.known = hi
+        self.counts[lo + 1 : hi + 1] = self.counts[lo] + np.cumsum(ok)
+        self.fed[self.counts[lo] + 1 : self.counts[hi] + 1] = self.starts[lo:hi][ok]
+        starts, H = self.starts[lo:hi], self.horizon
+        if self.schedule == "safe":
+            versions = self.counts[np.searchsorted(self.starts[:hi], starts - H, side="right")]
+        else:
+            versions = self.counts[lo:hi]
+        consumed = self.fed[versions] + H - 1  # last target a version-v memory has read
+        leaks = np.flatnonzero(consumed >= starts)
+        if leaks.size:
+            i = leaks[0]
+            raise ContractViolation(
+                f"memory already consumed target index {consumed[i]} but window "
+                f"{lo + i} starts at {starts[i]}: correction would leak its own targets"
+            )
+        return versions
+
+
+@dataclass
+class _Chunk:
+    """The unflagged windows of one execute chunk and what their corrections read.
+
+    Fields are (n, H, d) unless noted; `lengths` is 0 for a zero-shot window.
+    """
+
+    windows: np.ndarray     # (n,) window index in the split
+    starts: np.ndarray      # (n,) first target index
+    versions: np.ndarray    # (n,) memory version read
+    forecasts: np.ndarray
+    targets: np.ndarray
+    residuals: np.ndarray   # targets - forecasts
+    lengths: np.ndarray     # (n,) boundary length
+    masks: np.ndarray       # (n, H) observed steps
+    padded: np.ndarray      # boundary error, zero off the mask
+    local: np.ndarray
+    templates: np.ndarray   # memory template
+    contexts: np.ndarray    # (n, 2K) memory context
+
+
+def _boundaries(X, forecasts, residuals, windows, config: RolloutConfig, prefix_override=None,
+                contamination_ratio=0.0, contamination_sigma=None, anchors=None):
+    """(lengths, masks, padded errors) of a chunk's unflagged windows."""
     s = config.solver
-    if override is not None:
-        revealed = override
-        period = override if override > 0 else s.min_prefix_support
+    n, H, _ = residuals.shape
+    floor = s.min_prefix_support
+    if anchors is not None:
+        support, count = anchors
+        masks = np.zeros((n, H))
+        if count == 0:  # nothing revealed: zero-shot windows
+            return np.zeros(n, dtype=int), masks, np.zeros_like(residuals)
+        for row, i in enumerate(windows.tolist()):
+            rng = np.random.default_rng([config.seed, 104729, i])
+            masks[row, rng.choice(support, size=count, replace=False)] = 1.0
+        return np.full(n, support), masks, np.where(masks[..., None] > 0, residuals, 0.0)
+
+    if prefix_override is not None:
+        period = prefix_override if prefix_override > 0 else floor
+        lengths = np.full(n, select_prefix_length(period, prefix_override, H, floor))
     elif config.prefix_mode == "fixed":
-        revealed = period = config.prefix_length
-    else:
-        period = estimate_dominant_period(X, fallback=s.min_prefix_support)
-        revealed = period  # delayed-revelation budget equals the period estimate
-    return select_prefix_length(period, revealed, config.horizon, s.min_prefix_support)
+        p = config.prefix_length
+        lengths = np.full(n, select_prefix_length(p, p, H, floor))
+    else:  # the delayed-revelation budget equals the period estimate
+        periods = estimate_periods(X, fallback=floor).tolist()
+        lengths = np.array([select_prefix_length(p, p, H, floor) for p in periods], dtype=int)
+    masks = (np.arange(H) < lengths[:, None]).astype(float)
+    padded = np.where(masks[..., None] > 0, residuals, 0.0)
+    if contamination_ratio > 0:
+        hit = np.flatnonzero(lengths > 0)
+        seeds = [int(np.random.default_rng([config.seed, 15485863, i]).integers(2**31))
+                 for i in windows[hit].tolist()]
+        padded[hit] = contaminate_errors(padded[hit], forecasts[hit], lengths[hit],
+                                         contamination_ratio, contamination_sigma, seeds)
+    return lengths, masks, padded
 
 
-def _metrics(Y: np.ndarray, base: np.ndarray, corrected: np.ndarray, sl: slice) -> dict:
-    err_b = Y[sl] - base[sl]
-    err_c = Y[sl] - corrected[sl]
+def _execute(plan: _Plan, backbone, dataset: Dataset, config: RolloutConfig,
+             use_local: bool = True, use_memory: bool = True, **protocol):
+    """Yield a `_Chunk` for every execute chunk that has unflagged windows.
+
+    `use_local=False` zeroes the local branch and `use_memory=False` reads a
+    cold memory; the plan's versions still count the real memory.
+    `protocol` goes to `_boundaries`.
+    """
+    s = config.solver
+    values = dataset.values
+    H, L, d, K = config.horizon, config.lookback, dataset.channels, s.context_size
+    op = build_transfer_operator(H, s.smoothness_alpha)
+    size = max(1, CHUNK_BYTES // (8 * d * (5 * H + 2 * K)))
+    summaries = np.empty((len(plan.starts), 2))  # of unflagged windows, in fold order
+    n_summaries = 0
+    template, version = np.zeros((H, d)), 0  # the fold state
+    pending: deque = deque()  # residuals not folded yet, in fold order
+
+    for lo in range(0, len(plan.starts), size):
+        idx = np.arange(lo, min(lo + size, len(plan.starts)))
+        t = plan.starts[idx]
+        X = values[t[:, None] + np.arange(-L, 0)]
+        forecasts = predict_batch(backbone, X, t.tolist())
+        ok = np.isfinite(forecasts).all(axis=(1, 2))
+        versions = plan.extend(ok)
+        if not ok.any():
+            continue
+        idx, t, X, forecasts, versions = idx[ok], t[ok], X[ok], forecasts[ok], versions[ok]
+        targets = values[t[:, None] + np.arange(H)]
+        residuals = targets - forecasts
+        lengths, masks, padded = _boundaries(X, forecasts, residuals, idx, config, **protocol)
+
+        local = np.zeros_like(residuals)
+        for a in np.unique(lengths[lengths > 0]).tolist() if use_local else ():
+            sel = lengths == a
+            local[sel] = solve_local(
+                padded[sel, :a], op, s.ridge_coef, s.basis_clip, s.local_mix
+            ).combined
+
+        if use_memory:
+            summaries[n_summaries : n_summaries + len(idx)] = residual_summaries(residuals)
+            n_summaries += len(idx)
+            pending.extend(residuals)
+            top = int(versions[-1])
+            folds = [pending.popleft() for _ in range(top - version)]
+            snapshots = fold_templates(template, folds, s.memory_decay)
+            templates = snapshots[versions - version]
+            contexts = context_rows(summaries[:n_summaries], versions, K)
+            template, version = snapshots[-1], top
+        else:
+            templates = np.zeros_like(residuals)
+            contexts = np.zeros((len(idx), 2 * K))
+
+        yield _Chunk(idx, t, versions, forecasts, targets, residuals, lengths, masks,
+                     padded, local, templates, contexts)
+
+
+def _metrics(chunk: _Chunk, corrected: np.ndarray, sl: slice) -> dict[str, list[float]]:
+    err_b = chunk.residuals[:, sl]
+    err_c = chunk.targets[:, sl] - corrected[:, sl]
     return {
-        "mse_base": float(np.mean(err_b**2)),
-        "mse_corrected": float(np.mean(err_c**2)),
-        "mae_base": float(np.mean(np.abs(err_b))),
-        "mae_corrected": float(np.mean(np.abs(err_c))),
+        "mse_base": np.mean(err_b**2, axis=(1, 2)).tolist(),
+        "mse_corrected": np.mean(err_c**2, axis=(1, 2)).tolist(),
+        "mae_base": np.mean(np.abs(err_b), axis=(1, 2)).tolist(),
+        "mae_corrected": np.mean(np.abs(err_c), axis=(1, 2)).tolist(),
     }
 
 
@@ -191,7 +362,7 @@ def rollout(
     headline_slice: slice | None = None,
     extra_slices: dict[str, slice] | None = None,
 ) -> EvalReport:
-    """Run the delayed-revelation loop and collect per-window metrics.
+    """Correct every window of a split and collect per-window metrics.
 
     Protocol hooks: `prefix_override` forces the revealed budget,
     `contamination_ratio` corrupts the visible prefix at +-6 sigma,
@@ -201,96 +372,44 @@ def rollout(
     All metrics are computed against clean targets.
     """
     config.validate()
-    values = dataset.values
-    H, L = config.horizon, config.lookback
-    d = dataset.channels
     s = config.solver
-    operator = build_transfer_operator(H, s.smoothness_alpha)
-    starts = _window_starts(dataset, config, part)
-
+    H = config.horizon
+    schedule = _solver_schedule(config)
+    use_decoder = schedule.global_mix > 0 and decoder_params is not None
     backbone_digest = backbone.param_digest()
     decoder_digest = decoder_params.digest() if decoder_params is not None else None
+    sigma = contamination_sigma if contamination_sigma is not None else dataset.train_std()
+    slices = {"": headline_slice if headline_slice is not None else slice(0, H)}
+    slices.update({f"{name}_": sl for name, sl in (extra_slices or {}).items()})
 
-    memory = cold_start(H, d, s.memory_decay, s.context_size)
-    pending: list[tuple[int, np.ndarray]] = []
-    max_consumed = -1  # largest target index the memory has seen
-    sigma = (
-        contamination_sigma
-        if contamination_sigma is not None
-        else dataset.train_std()
-    )
-    head = headline_slice if headline_slice is not None else slice(0, H)
-
+    plan = _Plan(_window_starts(dataset, config, part), H, config.memory_schedule)
     rows: list[dict] = []
-    n_flagged = 0
     t0 = time.perf_counter()
-    for i, t in enumerate(starts):
-        if config.memory_schedule == "safe":
-            ready = [(tj, r) for tj, r in pending if tj + H <= t]
-            pending = [(tj, r) for tj, r in pending if tj + H > t]
-            for tj, res in ready:
-                memory = update_memory(memory, [res])
-                max_consumed = max(max_consumed, tj + H - 1)
-        if max_consumed >= t:
-            raise ContractViolation(
-                f"memory already consumed target index {max_consumed} but window "
-                f"{i} starts at {t}: correction would leak its own targets"
+    for c in _execute(plan, backbone, dataset, config, use_local=not s.global_only,
+                      use_memory=not s.no_memory, prefix_override=prefix_override,
+                      contamination_ratio=contamination_ratio, contamination_sigma=sigma,
+                      anchors=anchors):
+        delta = np.zeros_like(c.forecasts)
+        if c.lengths.any():  # an empty boundary keeps the zero-shot forecast
+            sel = slice(None) if c.lengths.all() else c.lengths > 0
+            global_field = (
+                decode_batch(decoder_params, c.forecasts[sel], c.local[sel], c.padded[sel],
+                             c.masks[sel], c.templates[sel], c.contexts[sel])
+                if use_decoder else np.zeros_like(c.local[sel])
             )
-
-        X = values[t - L : t]
-        forecast = backbone.predict(X, start=t)
-        Y = values[t : t + H]
-        if not np.all(np.isfinite(forecast)):
-            n_flagged += 1
-            continue
-
-        if anchors is not None:
-            support, count = anchors
-            if count == 0:
-                bnd = empty_boundary(H, d)  # nothing revealed: zero-shot window
-            else:
-                rng = np.random.default_rng([config.seed, 104729, i])
-                positions = rng.choice(support, size=count, replace=False)
-                bnd = anchor_boundary(Y[:support], forecast, support, positions)
-        else:
-            a = _select_prefix(X, config, prefix_override)
-            bnd = (
-                build_boundary(Y[:a], forecast, a)
-                if a > 0
-                else empty_boundary(H, d)
-            )
-            if contamination_ratio > 0 and not bnd.is_empty():
-                bnd = contaminate_prefix(
-                    bnd,
-                    forecast,
-                    contamination_ratio,
-                    sigma,
-                    rng_seed=int(np.random.default_rng([config.seed, 15485863, i]).integers(2**31)),
-                )
-
-        delta, _ = correct_window(forecast, bnd, memory, decoder_params, config, operator)
-        corrected = apply_correction(forecast, delta)
-
-        row = {
-            "window": i,
-            "start": t,
-            "prefix_length": bnd.length,
-            "memory_version": memory.updates,
-            **_metrics(Y, forecast, corrected, head),
+            delta[sel] = fuse(c.local[sel], global_field, schedule)
+        corrected = c.forecasts + delta
+        columns = {
+            "window": c.windows.tolist(),
+            "start": c.starts.tolist(),
+            "prefix_length": c.lengths.tolist(),
+            "memory_version": c.versions.tolist(),
         }
-        for name, sl in (extra_slices or {}).items():
-            for k, v in _metrics(Y, forecast, corrected, sl).items():
-                row[f"{name}_{k}"] = v
-        rows.append(row)
-
-        residual = Y - forecast  # clean targets only; protocols never touch these
-        pending.append((t, residual))
-        if config.memory_schedule == "immediate":
-            memory = update_memory(memory, [residual])
-            max_consumed = max(max_consumed, t + H - 1)
-            pending.pop()
-
+        for prefix, sl in slices.items():
+            columns.update({prefix + k: v for k, v in _metrics(c, corrected, sl).items()})
+        rows.extend(dict(zip(columns, values)) for values in zip(*columns.values()))
     elapsed = time.perf_counter() - t0
+
     if backbone.param_digest() != backbone_digest:
         raise ContractViolation("backbone parameters changed during rollout")
     if decoder_params is not None and decoder_params.digest() != decoder_digest:
@@ -301,7 +420,7 @@ def rollout(
         backbone=getattr(backbone, "kind", type(backbone).__name__),
         manifest=config.manifest(),
         rows=rows,
-        n_flagged=n_flagged,
+        n_flagged=plan.n_flagged,
         timing={"rollout_seconds": elapsed, "windows": len(rows)},
     )
     report.extra = report.aggregate()
@@ -319,77 +438,30 @@ def build_decoder_training_set(
     """Per-channel decoder samples from a simulated rollout.
 
     Replays the deployment pipeline (prefix selection, local solve, safe
-    memory schedule) over fully observed windows, emitting one feature row
-    per (window, channel) with the full residual as regression target.
-    Returns (features, targets, local_fields, gate).
+    memory schedule) through the engine over fully observed windows,
+    emitting one feature row per (window, channel) with the full residual as
+    regression target. Ablation switches do not apply here. Returns
+    (features, targets, local_fields, gate).
     """
     config.validate()
-    values = dataset.values
-    H, L = config.horizon, config.lookback
-    d = dataset.channels
-    s = config.solver
-    operator = build_transfer_operator(H, s.smoothness_alpha)
-    starts = _window_starts(dataset, config, part)
-    gate = global_gate(
-        FusionSchedule(
-            global_mix=s.global_mix,
-            ramp_sharpness=s.ramp_sharpness,
-            ramp_midpoint=s.ramp_midpoint,
-            correction_clip=s.correction_clip,
-        ),
-        H,
-    )
-
-    memory = cold_start(H, d, s.memory_decay, s.context_size)
-    pending: list[tuple[int, np.ndarray]] = []
-    feats, targets, locals_ = [], [], []
-    for t in starts:
-        ready = [(tj, r) for tj, r in pending if tj + H <= t]
-        pending = [(tj, r) for tj, r in pending if tj + H > t]
-        for _, res in ready:
-            memory = update_memory(memory, [res])
-
-        X = values[t - L : t]
-        forecast = backbone.predict(X, start=t)
-        if not np.all(np.isfinite(forecast)):
-            continue
-        Y = values[t : t + H]
-        a = _select_prefix(X, config, None)
-        bnd = build_boundary(Y[:a], forecast, a) if a > 0 else empty_boundary(H, d)
-        local_field = (
-            solve_local(
-                bnd.prefix_error,
-                operator,
-                ridge_coef=s.ridge_coef,
-                coef_clip=s.basis_clip,
-                response_mix=s.local_mix,
-            ).combined
-            if not bnd.is_empty()
-            else np.zeros_like(forecast)
-        )
-        residual = Y - forecast
-        feats.append(
-            build_features(
-                forecast,
-                local_field,
-                bnd.padded_error,
-                bnd.mask,
-                memory.template,
-                context_vector(memory),
-            )
-        )
-        targets.append(residual.T)
-        locals_.append(local_field.T)
-        pending.append((t, residual))
-
-    if not feats:
+    H, d = config.horizon, dataset.channels
+    gate = global_gate(_solver_schedule(config, ablate=False), H)
+    plan = _Plan(_window_starts(dataset, config, part), H, "safe")
+    capacity = len(plan.starts) * d  # rows when no window is flagged
+    feats = np.empty((capacity, 5 * H + 2 * config.solver.context_size))
+    targets, locals_ = np.empty((capacity, H)), np.empty((capacity, H))
+    n = 0
+    for c in _execute(plan, backbone, dataset, config):
+        k = len(c.windows) * d
+        feats[n : n + k] = build_features(
+            c.forecasts, c.local, c.padded, c.masks, c.templates, c.contexts
+        ).reshape(k, -1)
+        targets[n : n + k] = c.residuals.transpose(0, 2, 1).reshape(k, H)
+        locals_[n : n + k] = c.local.transpose(0, 2, 1).reshape(k, H)
+        n += k
+    if n == 0:
         raise DataError(f"no usable windows in the {part} split")
-    return (
-        np.vstack(feats),
-        np.vstack(targets),
-        np.vstack(locals_),
-        gate,
-    )
+    return feats[:n], targets[:n], locals_[:n], gate
 
 
 def train_decoder_for(
@@ -420,18 +492,23 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def write_metrics_csv(report: EvalReport, path) -> None:
-    """Per-window metric rows; full-precision floats, byte-stable given a seed."""
-    if not report.rows:
+def write_rows(rows: list[dict], path) -> None:
+    """Rows as CSV with full-precision floats; byte-stable for equal rows."""
+    if not rows:
         with open(path, "w") as fh:
             fh.write("")
         return
-    keys = list(report.rows[0].keys())
+    keys = list(rows[0].keys())
     lines = [",".join(keys)]
-    for row in report.rows:
+    for row in rows:
         lines.append(",".join(_format_value(row[k]) for k in keys))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_metrics_csv(report: EvalReport, path) -> None:
+    """Per-window metric rows; full-precision floats, byte-stable given a seed."""
+    write_rows(report.rows, path)
 
 
 def write_manifest(report: EvalReport, path) -> None:
@@ -446,7 +523,3 @@ def write_manifest(report: EvalReport, path) -> None:
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
-
-
-def wrap_backbone(backbone, normalize: bool) -> NormalizationWrapper:
-    return NormalizationWrapper(backbone, enabled=normalize)

@@ -155,3 +155,22 @@ def test_backbone_file_round_trip(tmp_path):
     assert loaded.param_digest() == fc.param_digest()
     X = series[:8]
     assert np.array_equal(loaded.predict(X), fc.predict(X))
+
+
+def test_batched_prediction_matches_per_window_formulas():
+    rng = np.random.default_rng(9)
+    series = rng.standard_normal((300, 3))
+    inner = fit_linear_backbone(series, lookback=8, horizon=5)
+    X = rng.standard_normal((6, 8, 3))
+    batch = inner.predict_batch(X)
+    for i in range(6):
+        ref = np.column_stack(
+            [X[i, :, c] @ inner.weights[c] + inner.intercepts[c] for c in range(3)]
+        )
+        assert np.allclose(batch[i], ref, rtol=1e-12, atol=1e-14)
+    wrapped = NormalizationWrapper(inner, enabled=True)
+    normed = wrapped.predict_batch(X, [None] * 6)
+    for i in range(6):
+        mu, sd = X[i].mean(axis=0), np.maximum(X[i].std(axis=0), wrapped.STD_FLOOR)
+        ref = inner.predict((X[i] - mu) / sd) * sd + mu
+        assert np.allclose(normed[i], ref, rtol=1e-12, atol=1e-14)

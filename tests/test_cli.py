@@ -283,3 +283,36 @@ def test_dump_schedule_command(workdir):
     assert "transition at step 24" in res.stdout
     first = dict(zip(lines[0].split(","), lines[1].split(",")))
     assert float(first["local_share"]) == pytest.approx(0.923, abs=1e-3)
+
+
+def test_train_decoder_exit_code_2_on_backbone_shape_mismatch(workdir):
+    res = _run(
+        ["train-decoder", "--data", "toy.csv", "--lookback", "24", "--horizon", "8",
+         "--seed", "3", "--backbone", "backbone.params", "--out", "mismatch.params"],
+        cwd=workdir,
+    )
+    assert res.returncode == 2, res.stderr
+    assert "configuration error" in res.stderr
+    assert not (workdir / "mismatch.params").exists()
+
+
+@pytest.mark.parametrize("command", ["train-decoder", "rollout"])
+def test_corrupt_backbone_file_is_a_configuration_error(workdir, command):
+    (workdir / "corrupt.params").write_bytes(b"not a parameter file")
+    extra = ["--out", "corrupt_decoder.params"] if command == "train-decoder" else []
+    res = _run(
+        [command, "--data", "toy.csv", *COMMON, "--backbone", "corrupt.params", *extra],
+        cwd=workdir,
+    )
+    assert res.returncode == 2, res.stderr
+    assert "configuration error" in res.stderr
+
+
+def test_train_decoder_exit_code_3_on_missing_backbone(workdir):
+    res = _run(
+        ["train-decoder", "--data", "toy.csv", *COMMON,
+         "--backbone", "nope.params", "--out", "nope_decoder.params"],
+        cwd=workdir,
+    )
+    assert res.returncode == 3, res.stderr
+    assert "data error" in res.stderr

@@ -148,3 +148,17 @@ def test_schedule_validation():
         FusionSchedule(ramp_midpoint=1.5)
     with pytest.raises(ValueError):
         FusionSchedule(global_mix=-0.1)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["local", "global"])
+def test_fuse_rejects_infinite_fields(value, which):
+    # an infinite field must not be laundered into +-correction_clip
+    clean = np.zeros((4, 2))
+    bad = clean.copy()
+    bad[2, 1] = value
+    fields = (bad, clean) if which == "local" else (clean, bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        fuse(*fields, DEFAULTS)
+    with pytest.raises(ValueError, match="non-finite"):
+        fuse(fields[0][None], fields[1][None], DEFAULTS)  # a batch of windows

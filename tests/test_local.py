@@ -187,3 +187,20 @@ def test_single_point_prefix_pipeline_is_finite():
 def test_fit_rejects_nonpositive_ridge():
     with pytest.raises(InvalidRidgeError):
         fit_bounded_response(np.zeros((4, 1)), np.zeros((4, 1)), np.zeros((2, 1)), ridge_coef=0.0)
+
+
+def test_batched_solve_matches_the_step_by_step_reference():
+    # solve_local folds drift removal and propagation into one cached matrix
+    # and fits a batch of windows at once; the reference runs each step on
+    # its own, one window at a time
+    rng = np.random.default_rng(12)
+    op = build_transfer_operator(20, 0.15)
+    for a in (1, 2, 3, 7):
+        R = rng.standard_normal((5, a, 3))
+        batch = solve_local(R, op)
+        for i in range(5):
+            harm = propagate_fast_error(op, extract_fast_error(R[i]))
+            ref = fit_bounded_response(harm, bias_field(R[i], 20), R[i])
+            assert np.allclose(batch.harmonic_field[i], harm, rtol=1e-12, atol=1e-14)
+            assert np.allclose(batch.coefficients[i], ref.coefficients, rtol=1e-12, atol=1e-14)
+            assert np.allclose(batch.combined[i], ref.combined, rtol=1e-12, atol=1e-14)
