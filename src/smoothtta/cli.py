@@ -3,8 +3,10 @@
 Subcommands: fit-backbone, train-decoder, rollout, ablate, contaminate,
 sparse-boundary, sparse-anchor, sweep, bench, dump-schedule. Exit codes:
 0 success, 2 configuration error, 3 data error, 4 contract violation
-(leakage or frozen-parameter breach). The SMOOTHTTA_DATA environment
-variable supplies a directory against which relative --data paths resolve.
+(leakage, frozen-parameter breach, a decoder gradient check that fails, or
+decoder training whose loss turns non-finite). The SMOOTHTTA_DATA
+environment variable supplies a directory against which relative --data
+paths resolve.
 """
 
 from __future__ import annotations
@@ -441,7 +443,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except ContractViolation as exc:
+    except (ContractViolation, dec.GradientCheckError, dec.TrainingDivergedError) as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return 4
 

@@ -12,6 +12,8 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 
+from .fusion import FusionSchedule
+
 
 class ConfigError(ValueError):
     """Bad configuration value or file (CLI exit code 2)."""
@@ -50,6 +52,25 @@ class SolverConfig:
             raise ConfigError("ridge_coef must be > 0")
         if not 0.0 <= self.memory_decay <= 1.0:
             raise ConfigError("memory_decay must lie in [0, 1]")
+        if not self.basis_clip >= 0:
+            raise ConfigError("basis_clip must be >= 0")
+        if not math.isfinite(self.local_mix):
+            raise ConfigError("local_mix must be finite")
+        if self.context_size < 1:
+            raise ConfigError("context_size must be >= 1")
+        if self.hidden_dim < 1:
+            raise ConfigError("hidden_dim must be >= 1")
+        if not 0 < self.global_scale < math.inf:
+            raise ConfigError("global_scale must be finite and > 0")
+        try:
+            FusionSchedule(
+                global_mix=self.global_mix,
+                ramp_sharpness=self.ramp_sharpness,
+                ramp_midpoint=self.ramp_midpoint,
+                correction_clip=self.correction_clip,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def effective_clip(self) -> float:
         return math.inf if self.no_bound else self.correction_clip

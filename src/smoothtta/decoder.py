@@ -10,14 +10,24 @@ by hand and guarded by a central finite-difference gradient check.
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import paramio
 
+logger = logging.getLogger(__name__)
+
 FEATURE_LAYOUT = "forecast|local|padded_error|mask|memory|context:v1"
 PARAMS_KIND = "memory-decoder"
+_BLOCKS = ("W1", "b1", "W2", "b2")
+
+# Gradient-gate budget for one chunk of probed coordinates: their perturbed
+# hidden states, outputs and gathered weight rows.
+_PROBE_CHUNK_BYTES = 2 << 20
 
 
 class UntrainedDecoderError(RuntimeError):
@@ -192,6 +202,8 @@ def _loss_and_grads(
     Loss = mean over samples and steps of
     (local + gate * decoder_output - target)^2, the same combination the
     fusion stage applies (minus the clip, which would kill gradients).
+    `params` may be any object with the W1, b1, W2, b2 and output_scale
+    attributes of `DecoderParams`; training passes its live weight arrays.
     """
     n = features.shape[0]
     out, (f, t) = _forward(params, features)
@@ -221,45 +233,83 @@ def gradient_check(
 ) -> float:
     """Max relative error of analytic vs central-difference gradients.
 
-    Probes at most `max_coords` randomly chosen parameter coordinates.
-    Relative error uses |ga - gn| / max(|ga| + |gn|, 1e-6) so that a pair of
-    exactly-zero gradients scores 0.
+    Probes at most `max_coords` parameter coordinates, drawn without
+    replacement from the flat W1|b1|W2|b2 layout (all of them when there are
+    no more). Relative error uses |ga - gn| / max(|ga| + |gn|, 1e-6) so that
+    a pair of exactly-zero gradients scores 0.
+
+    Each perturbed loss is the full fused-objective MSE with one coordinate
+    moved by +-`step`, evaluated from the unperturbed forward pass: a W1 or
+    b1 probe recomputes only its hidden unit's pre-activation (from the
+    perturbed W1 row or bias), a W2 or b2 probe only its output step. The
+    hidden states of a chunk of perturbations go through one stacked tanh
+    and one output-layer product, then one MSE per perturbation.
     """
     features = np.atleast_2d(features)
     target = np.atleast_2d(target)
     local_field = np.atleast_2d(local_field)
     _, analytic = _loss_and_grads(params, features, target, local_field, gate)
+    exact_blocks = [analytic[name].ravel() for name in _BLOCKS]
 
-    blocks = {name: np.array(getattr(params, name)) for name in ("W1", "b1", "W2", "b2")}
-    coords = [
-        (name, idx) for name, arr in blocks.items() for idx in range(arr.size)
-    ]
+    W1, b1, W2, b2 = params.W1, params.b1, params.W2, params.b2
+    (hidden, width), rows = W1.shape, features.shape[0]
+    offsets = np.cumsum([0, W1.size, b1.size, W2.size, b2.size])
     rng = np.random.default_rng(seed)
-    if len(coords) > max_coords:
-        picked = rng.choice(len(coords), size=max_coords, replace=False)
-        coords = [coords[i] for i in picked]
+    if offsets[-1] > max_coords:
+        coords = rng.choice(int(offsets[-1]), size=max_coords, replace=False)
+    else:
+        coords = np.arange(offsets[-1])
 
-    scale = params.output_scale
-
-    def raw_loss() -> float:
-        t = np.tanh(features @ blocks["W1"].T + blocks["b1"])
-        out = scale * (t @ blocks["W2"].T + blocks["b2"])
-        err = local_field + gate * out - target
-        return float(np.mean(err**2))
-
+    pre1 = features @ W1.T
+    t = np.tanh(pre1 + b1)
+    # floats held per probed coordinate: two perturbed copies of the hidden
+    # states, the outputs and their error terms, and a gathered W1 row
+    per_coord = 2 * (rows * (hidden + 3 * b2.size) + width)
+    chunk = max(1, _PROBE_CHUNK_BYTES // (8 * per_coord))
     worst = 0.0
-    for name, idx in coords:
-        arr = blocks[name]
-        base = arr.flat[idx]
-        arr.flat[idx] = base + step
-        up = raw_loss()
-        arr.flat[idx] = base - step
-        down = raw_loss()
-        arr.flat[idx] = base
-        numeric = (up - down) / (2.0 * step)
-        exact = analytic[name].flat[idx]
-        rel = abs(exact - numeric) / max(abs(exact) + abs(numeric), 1e-6)
-        worst = max(worst, rel)
+    for lo in range(0, coords.size, chunk):
+        picked = coords[lo : lo + chunk]
+        n = picked.size
+        block = np.searchsorted(offsets, picked, side="right") - 1
+        idx = picked - offsets[block]
+        exact = np.empty(n)
+        for b, grad in enumerate(exact_blocks):
+            exact[block == b] = grad[idx[block == b]]
+
+        # perturbations 0..n-1 move the picked coordinates by +step, n..2n-1 by -step
+        block, idx = np.tile(block, 2), np.tile(idx, 2)
+        delta = np.repeat([step, -step], n)
+        pw1, pb1, pw2, pb2 = (np.flatnonzero(block == b) for b in range(4))
+
+        # hidden layer: a W1 or b1 probe moves one unit's pre-activation
+        unit_w1, col_w1 = np.divmod(idx[pw1], width)
+        unit_b1 = idx[pb1]
+        rows_w1 = W1[unit_w1]
+        rows_w1[np.arange(pw1.size), col_w1] = W1[unit_w1, col_w1] + delta[pw1]
+        z = np.concatenate(
+            [features @ rows_w1.T + b1[unit_w1], pre1[:, unit_b1] + (b1[unit_b1] + delta[pb1])],
+            axis=1,
+        )
+        states = np.repeat(t[None], 2 * n, axis=0)
+        states[np.concatenate([pw1, pb1]), :, np.concatenate([unit_w1, unit_b1])] = np.tanh(z).T
+
+        # output layer: a W2 or b2 probe moves one output step
+        pre2 = (states.reshape(2 * n * rows, hidden) @ W2.T).reshape(2 * n, rows, -1)
+        step_w2, unit_w2 = np.divmod(idx[pw2], hidden)
+        rows_w2 = W2[step_w2]
+        rows_w2[np.arange(pw2.size), unit_w2] = W2[step_w2, unit_w2] + delta[pw2]
+        pre2[pw2, :, step_w2] = (t @ rows_w2.T).T
+        step_b2 = idx[pb2]
+        bias = np.repeat(b2[None], 2 * n, axis=0)
+        bias[pb2, step_b2] = b2[step_b2] + delta[pb2]
+        out = params.output_scale * (pre2 + bias[:, None, :])
+        err = local_field + gate * out - target
+        losses = np.mean((err**2).reshape(2 * n, -1), axis=1)
+
+        numeric = (losses[:n] - losses[n:]) / (2.0 * step)
+        rel = np.abs(exact - numeric) / np.maximum(np.abs(exact) + np.abs(numeric), 1e-6)
+        # fmax skips NaN (a non-finite loss); training's divergence check reports those
+        worst = max(worst, float(np.fmax.reduce(rel, initial=0.0)))
     return worst
 
 
@@ -289,7 +339,13 @@ def train_decoder(
     AdamW with global gradient-norm clipping, a fixed epoch budget, and at
     most `max_batches` batches per epoch (batches grow to cover the sample
     set). Returns the trained parameters and the per-epoch loss trace.
-    A finite-difference gradient check on random samples gates the run.
+
+    A finite-difference gradient check on random samples gates the run; see
+    `gradient_check` for how its perturbed losses are evaluated. The
+    optimizer updates the weights and its moments in place and builds the
+    frozen `DecoderParams` once, after the last step. Logs one INFO event on
+    this module's logger with the gate's worst relative error, the number of
+    samples it checked, and the wall times of the gate and the optimizer.
     """
     cfg = config or TrainConfig()
     n = features.shape[0]
@@ -297,6 +353,8 @@ def train_decoder(
         raise UntrainedDecoderError("no training samples")
 
     rng = np.random.default_rng(cfg.seed)
+    started = time.perf_counter()
+    worst, n_check = float("nan"), 0
     if cfg.check_gradients:
         n_check = min(cfg.check_samples, n)
         picks = rng.choice(n, size=n_check, replace=False)
@@ -315,53 +373,80 @@ def train_decoder(
             raise GradientCheckError(
                 f"gradient check failed before training: max relative error {worst:.3e}"
             )
+    checked = time.perf_counter()
 
-    weights = {name: np.array(getattr(params, name)) for name in ("W1", "b1", "W2", "b2")}
-    m = {k: np.zeros_like(v) for k, v in weights.items()}
-    v = {k: np.zeros_like(v_) for k, v_ in weights.items()}
+    weights = {name: np.array(getattr(params, name)) for name in _BLOCKS}
+    live = SimpleNamespace(output_scale=params.output_scale, **weights)  # updated in place
+    m = {k: np.zeros_like(w) for k, w in weights.items()}
+    v = {k: np.zeros_like(w) for k, w in weights.items()}
+    largest = max(w.size for w in weights.values())
+    scratch = np.empty(largest), np.empty(largest)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     trace: list[float] = []
 
+    # Each step evaluates, in place and in this operation order,
+    #   m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g**2
+    #   w = w - lr * ((m / bc1) / (sqrt(v / bc2) + eps) + wd * w)
+    # so it rounds exactly like the same expression written out of place.
     batch_size = max(1, -(-n // cfg.max_batches))  # ceil: covers the set in <= max_batches
-    current = params
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_losses = []
         for start in range(0, n, batch_size):
             take = order[start : start + batch_size]
             loss, grads = _loss_and_grads(
-                current, features[take], targets[take], local_fields[take], gate
+                live, features[take], targets[take], local_fields[take], gate
             )
             if not np.isfinite(loss):
                 raise TrainingDivergedError(trace + [loss])
             epoch_losses.append(loss)
 
-            total_sq = sum(float(np.sum(g**2)) for g in grads.values())
+            total_sq = 0
+            for g in grads.values():
+                sq = np.square(g, out=scratch[0][: g.size].reshape(g.shape))
+                total_sq += float(np.sum(sq))
             norm = np.sqrt(total_sq)
             scale = cfg.grad_clip / norm if norm > cfg.grad_clip else 1.0
 
             step += 1
             bc1 = 1.0 - beta1**step
             bc2 = 1.0 - beta2**step
-            for name in weights:
-                g = grads[name] * scale
-                m[name] = beta1 * m[name] + (1 - beta1) * g
-                v[name] = beta2 * v[name] + (1 - beta2) * g**2
-                update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
-                weights[name] = weights[name] - cfg.learning_rate * (
-                    update + cfg.weight_decay * weights[name]
-                )
-            current = DecoderParams(
-                horizon=params.horizon,
-                context_size=params.context_size,
-                hidden=params.hidden,
-                output_scale=params.output_scale,
-                seed=params.seed,
-                **{k: w.copy() for k, w in weights.items()},
-            )
+            for name, w in weights.items():
+                g, mk, vk = grads[name], m[name], v[name]
+                a, b = (buf[: w.size].reshape(w.shape) for buf in scratch)
+                g *= scale
+                np.multiply(g, 1 - beta1, out=a)
+                mk *= beta1
+                mk += a
+                np.square(g, out=a)
+                a *= 1 - beta2
+                vk *= beta2
+                vk += a
+                np.divide(vk, bc2, out=a)
+                np.sqrt(a, out=a)
+                a += eps
+                np.divide(mk, bc1, out=b)
+                b /= a
+                np.multiply(w, cfg.weight_decay, out=a)
+                a += b
+                a *= cfg.learning_rate
+                w -= a
         trace.append(float(np.mean(epoch_losses)))
-    return current, trace
+    trained = DecoderParams(
+        horizon=params.horizon,
+        context_size=params.context_size,
+        hidden=params.hidden,
+        output_scale=params.output_scale,
+        seed=params.seed,
+        **weights,
+    )
+    logger.info(
+        "decoder trained: gradient gate max relative error %.3e over %d samples in %.3f s, "
+        "optimizer %d steps in %.3f s",
+        worst, n_check, checked - started, step, time.perf_counter() - checked,
+    )
+    return trained, trace
 
 
 def save_params(params: DecoderParams, path, channels: int | None = None) -> None:

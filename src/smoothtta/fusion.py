@@ -30,7 +30,7 @@ class FusionSchedule:
             raise ValueError(f"ramp sharpness must be > 0, got {self.ramp_sharpness}")
         if not 0.0 <= self.ramp_midpoint <= 1.0:
             raise ValueError(f"ramp midpoint must lie in [0, 1], got {self.ramp_midpoint}")
-        if self.global_mix < 0:
+        if not self.global_mix >= 0:
             raise ValueError(f"global mix must be >= 0, got {self.global_mix}")
 
     def transition_step(self, horizon: int) -> int:

@@ -28,6 +28,7 @@ same kernels with a batch of one.
 from __future__ import annotations
 
 import json
+import logging
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -62,6 +63,8 @@ from .memory import (
 # Execute-chunk budget for the decoder's feature rows, d * (5H + 2K) floats
 # per window; a chunk's other per-window arrays are of the same order.
 CHUNK_BYTES = 4 << 20
+
+decoder_log = logging.getLogger("smoothtta.decoder")
 
 
 class ContractViolation(RuntimeError):
@@ -471,9 +474,18 @@ def train_decoder_for(
     part: str = "val",
     train_config: TrainConfig | None = None,
 ) -> tuple[DecoderParams, list[float]]:
-    """Initialize and fit a decoder from simulated rollouts over one split."""
+    """Initialize and fit a decoder from simulated rollouts over one split.
+
+    Logs the training-set build time on the `smoothtta.decoder` logger, next
+    to `train_decoder`'s event for the gradient gate and the optimizer.
+    """
+    started = time.perf_counter()
     feats, targets, locals_, gate = build_decoder_training_set(
         backbone, dataset, config, part
+    )
+    decoder_log.info(
+        "decoder training set: %d rows of width %d built in %.3f s",
+        feats.shape[0], feats.shape[1], time.perf_counter() - started,
     )
     params = init_params(
         horizon=config.horizon,

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import smoothtta
+import smoothtta.decoder as dec
+from smoothtta import cli
 
 BASE = [sys.executable, "-m", "smoothtta"]
 
@@ -316,3 +318,69 @@ def test_train_decoder_exit_code_3_on_missing_backbone(workdir):
     )
     assert res.returncode == 3, res.stderr
     assert "data error" in res.stderr
+
+
+def _train_in_process(workdir, *extra):
+    """train-decoder through `cli.main` in this process, so tests can patch it."""
+    return cli.main(
+        ["train-decoder", "--data", str(workdir / "toy.csv"), *COMMON,
+         "--backbone", str(workdir / "backbone.params"),
+         "--out", str(workdir / "in_process.params"), *extra]
+    )
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "hidden_dim=0",
+        "context_size=0",
+        "basis_clip=-1",
+        "basis_clip=nan",
+        "local_mix=nan",
+        "local_mix=inf",
+        "global_scale=0",
+        "global_scale=nan",
+        "global_scale=inf",
+        "correction_clip=0",
+        "ramp_sharpness=0",
+        "ramp_midpoint=2",
+        "ramp_midpoint=-0.1",
+        "global_mix=-0.5",
+        "global_mix=nan",
+    ],
+)
+def test_out_of_range_setting_exits_2(workdir, setting, capsys):
+    assert _train_in_process(workdir, "--set", setting) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert setting.split("=")[0].replace("_", " ") in err.replace("_", " ")
+
+
+def _with_bad_w1_gradient(original):
+    def corrupted(*args, **kwargs):
+        loss, grads = original(*args, **kwargs)
+        grads["W1"] = grads["W1"] + 1.0
+        return loss, grads
+
+    return corrupted
+
+
+def _with_nan_loss(original):
+    def diverging(*args, **kwargs):
+        _, grads = original(*args, **kwargs)
+        return float("nan"), grads
+
+    return diverging
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [(_with_bad_w1_gradient, "gradient check failed"), (_with_nan_loss, "non-finite")],
+)
+def test_decoder_gate_failures_exit_4(workdir, monkeypatch, capsys, patch, message):
+    monkeypatch.setattr(dec, "_loss_and_grads", patch(dec._loss_and_grads))
+    assert _train_in_process(workdir) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("contract violation:") and message in err
+    assert err.count("\n") == 1
+    assert not (workdir / "in_process.params").exists()

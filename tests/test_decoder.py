@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import decoder_reference as reference
+import smoothtta.decoder as dec
 from smoothtta.decoder import (
     DecoderParams,
     GradientCheckError,
@@ -246,3 +250,114 @@ def test_param_file_rejects_layout_mismatch(tmp_path):
     path.write_bytes(tampered)
     with pytest.raises(ValueError, match="layout"):
         load_params(path)
+
+
+# --- batched gradient gate and in-place optimizer against the reference loops ---
+
+def _gate_case(horizon, context, hidden, rows, seed):
+    rng = np.random.default_rng(seed)
+    p = init_params(horizon=horizon, context_size=context, hidden=hidden, seed=seed)
+    feats = rng.standard_normal((rows, p.input_width))
+    target = rng.standard_normal((rows, horizon))
+    local = rng.standard_normal((rows, horizon))
+    gate = rng.uniform(0.0, 1.0, horizon)
+    return p, feats, target, local, gate
+
+
+def _central_difference_noise(p, feats, target, local, gate, max_coords, seed, step=1e-4):
+    """Largest relative-error change that float64 rounding alone can cause.
+
+    One central difference of the loss carries rounding noise of about
+    eps * S / step, S the mean square of the error terms' magnitudes; over a
+    probed coordinate's floor max(|ga| + |gn|, 1e-6) that noise moves its
+    relative error. Two evaluations that round differently can disagree by
+    this much at a coordinate whose gradient is tiny, whatever the code.
+    """
+    _, analytic = _loss_and_grads(p, feats, target, local, gate)
+    grads = np.concatenate([analytic[name].ravel() for name in ("W1", "b1", "W2", "b2")])
+    if grads.size > max_coords:
+        rng = np.random.default_rng(seed)
+        grads = grads[rng.choice(grads.size, size=max_coords, replace=False)]
+    out, _ = dec._forward(p, feats)
+    scale = np.mean((np.abs(local) + np.abs(gate * out) + np.abs(target)) ** 2)
+    noise = np.finfo(float).eps * scale / step
+    return float(np.max(noise / np.maximum(2 * np.abs(grads), 1e-6)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    horizon=st.integers(2, 12),
+    context=st.integers(1, 4),
+    hidden=st.integers(1, 24),
+    rows=st.integers(1, 3),
+    max_coords=st.sampled_from([1, 17, 200, 10**6]),
+    seed=st.integers(0, 2**16),
+)
+def test_gradient_check_matches_per_coordinate_reference(
+    horizon, context, hidden, rows, max_coords, seed
+):
+    # The batched gate rounds differently from the per-coordinate loop, so
+    # beyond 1e-8 the two may differ by the rounding noise of a central
+    # difference (a factor 8 over the estimate; 3000 random cases peaked at 0.74).
+    p, feats, target, local, gate = _gate_case(horizon, context, hidden, rows, seed)
+    args = (p, feats, target, local, gate)
+    fast = gradient_check(*args, max_coords=max_coords, seed=seed)
+    slow = reference.gradient_check(*args, max_coords=max_coords, seed=seed)
+    noise = _central_difference_noise(*args, max_coords=max_coords, seed=seed)
+    assert abs(fast - slow) <= 1e-8 + 8 * noise
+
+
+def _corrupting(block, position):
+    original = dec._loss_and_grads
+
+    def corrupted(*args, **kwargs):
+        loss, grads = original(*args, **kwargs)
+        grads[block] = grads[block].copy()
+        grads[block].flat[position] += 1.0
+        return loss, grads
+
+    return corrupted
+
+
+@pytest.mark.parametrize("position", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("block", ["W1", "b1", "W2", "b2"])
+def test_gradient_check_catches_each_corrupted_block(block, position, monkeypatch):
+    # 4 * 17 + 4 + 3 * 4 + 3 = 87 coordinates: the default 200 probes cover
+    # all, so one wrong entry at either end of any block must show
+    p, feats, target, local, gate = _gate_case(horizon=3, context=1, hidden=4, rows=1, seed=2)
+    assert p.count() <= 200
+    assert gradient_check(p, feats, target, local, gate) < 1e-4
+    monkeypatch.setattr(dec, "_loss_and_grads", _corrupting(block, position))
+    assert gradient_check(p, feats, target, local, gate) > 1e-2
+    with pytest.raises(GradientCheckError):
+        train_decoder(p, feats, target, local, gate, TrainConfig(check_samples=1))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        TrainConfig(epochs=4, seed=0, check_samples=3),
+        TrainConfig(epochs=3, seed=2, max_batches=5, check_gradients=False),
+        TrainConfig(epochs=2, seed=1, grad_clip=1e-3, learning_rate=1e-2),
+    ],
+)
+def test_in_place_adamw_matches_out_of_place_reference(config):
+    p, feats, target, local, gate = _training_set(n=70, d_seed=3)
+    trained, trace = train_decoder(p, feats, target, local, gate, config)
+    expected, expected_trace = reference.adamw(p, feats, target, local, gate, config)
+    for name in ("W1", "b1", "W2", "b2"):
+        assert np.array_equal(getattr(trained, name), getattr(expected, name))
+    assert trace == expected_trace
+
+
+def test_training_logs_gate_and_optimizer(caplog):
+    p, feats, target, local, gate = _training_set()
+    with caplog.at_level("INFO", logger="smoothtta.decoder"):
+        train_decoder(p, feats, target, local, gate, TrainConfig(epochs=2, check_samples=3))
+    (record,) = [r for r in caplog.records if r.name == "smoothtta.decoder"]
+    assert record.levelname == "INFO"
+    worst, samples, gate_s, steps, optimizer_s = record.args
+    assert 0.0 <= worst < 1e-4
+    assert samples == 3
+    assert steps == 2 * 15  # 60 samples in batches of ceil(60 / 16) = 4
+    assert gate_s >= 0.0 and optimizer_s >= 0.0

@@ -242,3 +242,14 @@ def test_oracle_residual_matches_construction(small_fixture):
     agg = report.aggregate()
     bias = 0.3
     assert agg["mse_base"] == pytest.approx(bias**2, rel=0.6)
+
+
+def test_train_decoder_for_logs_each_part(small_fixture, caplog):
+    fx = small_fixture
+    with caplog.at_level("INFO", logger="smoothtta.decoder"):
+        train_decoder_for(fx.backbone, fx.dataset, fx.config)
+    messages = [r.getMessage() for r in caplog.records if r.name == "smoothtta.decoder"]
+    assert len(messages) == 2
+    assert messages[0].startswith("decoder training set:")
+    assert "gradient gate" in messages[1] and "over 20 samples" in messages[1]
+    assert "optimizer" in messages[1]
