@@ -16,29 +16,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
+OUTLIER_MAGNITUDE = 6.0  # contamination outliers, in units of the train-split per-channel std
+
 
 @dataclass(frozen=True)
 class PrefixBoundary:
-    """Revealed prefix error and its full-horizon masked representation.
+    """Revealed prefix error in its full-horizon masked representation.
 
     length        number of revealed steps a (0 means nothing revealed yet)
-    prefix_error  (a, d) observed minus forecast on the revealed steps
-    padded_error  (H, d) prefix error zero-padded to the horizon
+    padded_error  (H, d) observed minus forecast on the first a steps, zero after
     mask          (H,) 1.0 on observed steps, 0.0 elsewhere
     """
 
     length: int
-    prefix_error: np.ndarray
     padded_error: np.ndarray
     mask: np.ndarray
 
     @property
-    def horizon(self) -> int:
-        return self.padded_error.shape[0]
+    def prefix_error(self) -> np.ndarray:
+        """(a, d) observed minus forecast on the revealed steps: `padded_error[:a]`."""
+        return self.padded_error[: self.length]
 
     @property
-    def channels(self) -> int:
-        return self.padded_error.shape[1]
+    def horizon(self) -> int:
+        return self.padded_error.shape[0]
 
     def is_empty(self) -> bool:
         return self.length == 0
@@ -48,22 +49,20 @@ def empty_boundary(horizon: int, channels: int) -> PrefixBoundary:
     """Sentinel for a pure zero-shot window: solver must return zero correction."""
     return PrefixBoundary(
         length=0,
-        prefix_error=np.zeros((0, channels)),
         padded_error=np.zeros((horizon, channels)),
         mask=np.zeros(horizon),
     )
 
 
-def estimate_periods(
-    lookbacks: np.ndarray, fallback: int = 2, zero_tol: float = 1e-12
-) -> np.ndarray:
+def estimate_periods(lookbacks: np.ndarray, fallback: int = 2) -> np.ndarray:
     """Dominant period of each lookback window in a (n, L, d) batch.
 
     Per window and channel the mean is removed and the real-input Fourier
     amplitude spectrum is taken; amplitudes are averaged across channels and
     the strongest nonzero-frequency bin k* wins, with ties broken toward the
     lower frequency (longer period). Returns round(L / k*) clamped to
-    [2, L]. A flat lookback has an empty spectrum and falls back to the
+    [2, L]. A flat lookback (peak amplitude at most 1e-12 times its largest
+    absolute value, floored at 1) has an empty spectrum and falls back to the
     configured minimum prefix support.
     """
     X = np.asarray(lookbacks, dtype=float)
@@ -73,20 +72,18 @@ def estimate_periods(
     centered = X - X.mean(axis=1, keepdims=True)
     amplitude = np.abs(np.fft.rfft(centered, axis=1)).mean(axis=2)[:, 1:]  # drop DC
     peak = amplitude.max(axis=1, initial=0.0)
-    flat = peak <= zero_tol * np.maximum(1.0, np.abs(X).max(axis=(1, 2), initial=0.0))
+    flat = peak <= 1e-12 * np.maximum(1.0, np.abs(X).max(axis=(1, 2), initial=0.0))
     k_star = np.argmax(amplitude, axis=1) + 1  # argmax takes the first (lowest) bin on ties
     period = np.clip(np.rint(L / k_star).astype(int), 2, L)
     return np.where(flat, fallback, period)
 
 
-def estimate_dominant_period(
-    lookback: np.ndarray, fallback: int = 2, zero_tol: float = 1e-12
-) -> int:
+def estimate_dominant_period(lookback: np.ndarray, fallback: int = 2) -> int:
     """Dominant period of one (L, d) or (L,) lookback; see `estimate_periods`."""
     X = np.atleast_2d(np.asarray(lookback, dtype=float))
     if np.ndim(lookback) == 1:
         X = X.T
-    return int(estimate_periods(X[None], fallback, zero_tol)[0])
+    return int(estimate_periods(X[None], fallback)[0])
 
 
 def select_prefix_length(
@@ -121,14 +118,11 @@ def build_boundary(
         raise ValueError(
             f"observed prefix has shape {observed.shape}, expected {(length, channels)}"
         )
-    prefix_error = observed - forecast[:length]
     padded = np.zeros((horizon, channels))
-    padded[:length] = prefix_error
+    padded[:length] = observed - forecast[:length]
     mask = np.zeros(horizon)
     mask[:length] = 1.0
-    return PrefixBoundary(
-        length=length, prefix_error=prefix_error, padded_error=padded, mask=mask
-    )
+    return PrefixBoundary(length=length, padded_error=padded, mask=mask)
 
 
 def anchor_boundary(
@@ -148,19 +142,15 @@ def anchor_boundary(
     horizon, channels = forecast.shape
     if not 1 <= support <= horizon:
         raise ValueError(f"support window {support} outside [1, {horizon}]")
-    prefix_error = np.zeros((support, channels))
+    padded = np.zeros((horizon, channels))
     pos = np.asarray(anchor_positions, dtype=int)
     if pos.size:
         if pos.min() < 0 or pos.max() >= support:
             raise ValueError("anchor positions must lie inside the support window")
-        prefix_error[pos] = np.asarray(observed, dtype=float)[pos] - forecast[pos]
-    padded = np.zeros((horizon, channels))
-    padded[:support] = prefix_error
+        padded[pos] = np.asarray(observed, dtype=float)[pos] - forecast[pos]
     mask = np.zeros(horizon)
     mask[pos] = 1.0
-    return PrefixBoundary(
-        length=support, prefix_error=prefix_error, padded_error=padded, mask=mask
-    )
+    return PrefixBoundary(length=support, padded_error=padded, mask=mask)
 
 
 class InvalidRatioError(ValueError):
@@ -174,15 +164,14 @@ def contaminate_errors(
     ratio: float,
     sigma: np.ndarray,
     rng_seeds,
-    magnitude: float = 6.0,
 ) -> np.ndarray:
     """Replace a fraction of each window's prefix observations by large outliers.
 
     Fields are (n, H, d). For window i, per channel, ceil(ratio * a_i)
     prefix positions are drawn without replacement from
     `default_rng(rng_seeds[i])` (so bit-reproducible) and the observed value
-    there is replaced by +-magnitude * sigma_channel with a uniform random
-    sign. Returns the padded prefix errors rebuilt from the corrupted
+    there is replaced by +-OUTLIER_MAGNITUDE * sigma_channel with a uniform
+    random sign. Returns the padded prefix errors rebuilt from the corrupted
     observations; evaluation targets are never touched.
     """
     if not 0.0 <= ratio <= 1.0:
@@ -196,7 +185,7 @@ def contaminate_errors(
         for c in range(channels):
             pos = rng.choice(a, size=n_hit, replace=False)
             signs = rng.choice([-1.0, 1.0], size=n_hit)
-            observed[i, pos, c] = signs * magnitude * sigma[c]
+            observed[i, pos, c] = signs * OUTLIER_MAGNITUDE * sigma[c]
     inside = np.arange(horizon) < np.asarray(lengths)[:, None]
     return np.where(inside[..., None], observed - forecasts, 0.0)
 
@@ -207,7 +196,6 @@ def contaminate_prefix(
     ratio: float,
     sigma: np.ndarray,
     rng_seed: int,
-    magnitude: float = 6.0,
 ) -> PrefixBoundary:
     """One window's boundary under `contaminate_errors`; ratio 0 changes nothing."""
     if not 0.0 <= ratio <= 1.0:
@@ -217,7 +205,7 @@ def contaminate_prefix(
     a = boundary.length
     forecast = np.asarray(forecast, dtype=float)
     padded = contaminate_errors(
-        boundary.padded_error[None], forecast[None], [a], ratio, sigma, [rng_seed], magnitude
+        boundary.padded_error[None], forecast[None], [a], ratio, sigma, [rng_seed]
     )[0]
     mask = (np.arange(boundary.horizon) < a).astype(float)
-    return PrefixBoundary(length=a, prefix_error=padded[:a], padded_error=padded, mask=mask)
+    return PrefixBoundary(length=a, padded_error=padded, mask=mask)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import backbones as bb
 from . import decoder as dec
-from .config import ConfigError, RolloutConfig, apply_overrides, load_config_file
+from .config import ABLATION_SWITCHES, ConfigError, RolloutConfig, apply_overrides, load_config_file
 from .data import DataError, load_csv, split_dataset
 from .fusion import FusionSchedule, schedule_table
 from .protocols import (
@@ -74,10 +74,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backbone", default=None, help="fitted backbone parameter file")
     parser.add_argument("--decoder", default=None, help="trained decoder parameter file")
     parser.add_argument("--ridge", type=float, default=1e-3, help="backbone ridge strength")
-    parser.add_argument("--local-only", action="store_true")
-    parser.add_argument("--global-only", action="store_true")
-    parser.add_argument("--no-bound", action="store_true")
-    parser.add_argument("--no-memory", action="store_true")
+    for switch in ABLATION_SWITCHES:
+        parser.add_argument("--" + switch.replace("_", "-"), action="store_true")
     parser.add_argument("--out-dir", default="runs")
 
 
@@ -91,12 +89,7 @@ def _build_config(args) -> RolloutConfig:
         memory_schedule=args.memory_schedule,
         max_windows=args.max_windows,
     )
-    if args.prefix != "fft":
-        cfg.prefix_mode = "fixed"
-        try:
-            cfg.prefix_length = int(args.prefix)
-        except ValueError:
-            raise ConfigError(f"--prefix must be 'fft' or an integer, got {args.prefix!r}")
+    cfg.set_prefix(args.prefix)
     overrides = {}
     if args.config:
         overrides.update(load_config_file(args.config))
@@ -107,10 +100,8 @@ def _build_config(args) -> RolloutConfig:
         overrides[k.strip()] = v.strip()
     if overrides:
         apply_overrides(cfg, overrides)
-    cfg.solver.local_only = args.local_only or cfg.solver.local_only
-    cfg.solver.global_only = args.global_only or cfg.solver.global_only
-    cfg.solver.no_bound = args.no_bound or cfg.solver.no_bound
-    cfg.solver.no_memory = args.no_memory or cfg.solver.no_memory
+    for switch in ABLATION_SWITCHES:
+        setattr(cfg.solver, switch, getattr(args, switch) or getattr(cfg.solver, switch))
     cfg.validate()
     return cfg
 
@@ -159,10 +150,7 @@ def _prepare(args, need_decoder: bool = True):
         backbone = bb.NormalizationWrapper(backbone, enabled=True)
 
     decoder_params = None
-    needs_decoder = (
-        need_decoder and not args.local_only and cfg.solver.effective_global_mix() > 0
-    )
-    if needs_decoder:
+    if need_decoder and cfg.solver.schedule().global_mix > 0:
         if args.decoder:
             decoder_params = _load_artifact(dec.load_params, args.decoder, "decoder")
         else:
@@ -213,8 +201,7 @@ def cmd_ablate(args) -> int:
     summary = []
     for name, report in reports.items():
         write_metrics_csv(report, out / f"metrics_{name}.csv")
-        agg = report.aggregate()
-        summary.append({"variant": name, **{k: agg[k] for k in ("mse_base", "mse_corrected", "improvement")}})
+        summary.append(report.summary_row(variant=name))
     write_rows(summary, out / "summary.csv")
     print(json.dumps(summary, indent=2))
     return 0
@@ -291,10 +278,7 @@ def cmd_sparse_anchor(args) -> int:
             ratio=r, support=args.support, eval_steps=eval_steps,
         )
         write_metrics_csv(report, out / f"metrics_ratio_{r:g}.csv")
-        agg = report.aggregate()
-        rows.append({"ratio": r, "mse_base": agg["mse_base"],
-                     "mse_corrected": agg["mse_corrected"],
-                     "improvement": agg["improvement"]})
+        rows.append(report.summary_row(ratio=r))
     write_rows(rows, out / "summary.csv")
     print(json.dumps(rows, indent=2))
     return 0
@@ -407,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None, help="comma list overriding the default grid")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("bench", help="module-only latency micro-benchmark")
+    p = sub.add_parser("bench", help="correction-engine rollout latency on synthetic windows")
     p.add_argument("--horizons", default="96,192,336,720")
     p.add_argument("--batch", type=int, default=48)
     p.add_argument("--channels", type=int, default=7)

@@ -63,20 +63,25 @@ class SolverConfig:
         if not 0 < self.global_scale < math.inf:
             raise ConfigError("global_scale must be finite and > 0")
         try:
-            FusionSchedule(
-                global_mix=self.global_mix,
-                ramp_sharpness=self.ramp_sharpness,
-                ramp_midpoint=self.ramp_midpoint,
-                correction_clip=self.correction_clip,
-            )
+            self.schedule(ablate=False)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def effective_clip(self) -> float:
-        return math.inf if self.no_bound else self.correction_clip
+    def schedule(self, ablate: bool = True) -> FusionSchedule:
+        """The fusion schedule of these settings; raises `ValueError` when out of range.
 
-    def effective_global_mix(self) -> float:
-        return 0.0 if self.local_only else self.global_mix
+        With `ablate`, `local_only` sets `global_mix` to 0 and `no_bound` the
+        clip to infinity; with `ablate=False` the raw values pass through.
+        """
+        return FusionSchedule(
+            global_mix=0.0 if ablate and self.local_only else self.global_mix,
+            ramp_sharpness=self.ramp_sharpness,
+            ramp_midpoint=self.ramp_midpoint,
+            correction_clip=math.inf if ablate and self.no_bound else self.correction_clip,
+        )
+
+
+ABLATION_SWITCHES = ("local_only", "global_only", "no_bound", "no_memory")
 
 
 @dataclass
@@ -108,6 +113,16 @@ class RolloutConfig:
             raise ConfigError("prefix_mode=fixed requires prefix_length")
         if self.memory_schedule not in ("safe", "immediate"):
             raise ConfigError(f"unknown memory_schedule {self.memory_schedule!r}")
+
+    def set_prefix(self, spec) -> None:
+        """Estimate each prefix length by FFT (`spec` "fft") or fix it to the integer `spec`."""
+        if spec == "fft":
+            self.prefix_mode, self.prefix_length = "fft", None
+            return
+        try:
+            self.prefix_mode, self.prefix_length = "fixed", int(spec)
+        except ValueError:
+            raise ConfigError(f"prefix must be 'fft' or an integer, got {spec!r}") from None
 
     @property
     def effective_stride(self) -> int:

@@ -9,6 +9,7 @@ the previous value forward) so ingestion stays deterministic.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,21 +79,24 @@ class Dataset:
         )
 
 
-def _is_number(cell: str) -> bool:
+def _cell(text: str) -> float | None:
+    """A cell's number (inf and nan included), NaN when empty, None when it is text."""
     try:
-        float(cell)
-        return True
+        return float(text)
     except ValueError:
-        return False
+        return None if text.strip() else math.nan
 
 
 def load_csv(path, policy: str = "drop-row", name: str | None = None) -> Dataset:
     """Parse a channels-in-columns CSV with an optional timestamp column.
 
-    policy handles rows with missing/non-numeric cells: "drop-row" removes
-    them with a logged warning, "forward-fill" copies the previous row's
-    value (leading gaps are dropped). Rows with the wrong field count are a
-    hard parse error carrying the line number.
+    A header row, and a leading timestamp column, are recognised by a cell
+    that is text rather than a number or a missing value. Empty and
+    non-finite (inf, nan) data cells are missing values, as are text cells.
+    policy handles rows with missing values: "drop-row" removes them with a
+    logged warning, "forward-fill" copies the previous row's value (leading
+    gaps are dropped). Rows with the wrong field count are a hard parse
+    error carrying the line number.
     """
     if policy not in ("drop-row", "forward-fill"):
         raise DataError(f"unknown missing-value policy {policy!r}")
@@ -105,61 +109,56 @@ def load_csv(path, policy: str = "drop-row", name: str | None = None) -> Dataset
     if not rows:
         raise DataError(f"{path}: empty file")
 
-    first = [cell.strip() for cell in rows[0].split(",")]
-    has_header = not all(_is_number(c) or c == "" for c in first[1:]) or (
-        first and not _is_number(first[0]) and len(first) == 1
+    first = rows[0].split(",")
+    has_header = any(_cell(c) is None for c in first[1:]) or (
+        len(first) == 1 and _cell(first[0]) is None
     )
-    header = first if has_header else None
+    header = [c.strip() for c in first] if has_header else None
     body = rows[1:] if has_header else rows
     if not body:
         raise DataError(f"{path}: no data rows")
 
-    probe = [c.strip() for c in body[0].split(",")]
-    has_timestamp = not _is_number(probe[0])
+    probe = body[0].split(",")
+    has_timestamp = _cell(probe[0]) is None
     n_fields = len(probe)
     n_channels = n_fields - (1 if has_timestamp else 0)
     if n_channels < 1:
         raise DataError(f"{path}: no numeric channels found")
 
-    parsed: list[np.ndarray] = []
+    first_line = 2 if has_header else 1
+    values = np.empty((len(body), n_channels))
     stamps: list[str] = []
-    dropped = 0
-    for offset, line in enumerate(body):
-        lineno = offset + (2 if has_header else 1)
-        cells = [c.strip() for c in line.split(",")]
+    for row, line in enumerate(body):
+        cells = line.split(",")
         if len(cells) != n_fields:
             raise DataError(
-                f"{path}:{lineno}: expected {n_fields} fields, found {len(cells)}"
+                f"{path}:{row + first_line}: expected {n_fields} fields, found {len(cells)}"
             )
-        data_cells = cells[1:] if has_timestamp else cells
-        row = np.full(n_channels, np.nan)
-        for j, cell in enumerate(data_cells):
-            if cell and _is_number(cell):
-                row[j] = float(cell)
-        if np.isnan(row).any():
-            if policy == "drop-row":
-                dropped += 1
-                logger.warning("%s:%d: dropping row with missing values", path, lineno)
-                continue
-            if not parsed:
-                dropped += 1
-                logger.warning("%s:%d: dropping leading row, nothing to fill from", path, lineno)
-                continue
-            gaps = np.isnan(row)
-            row[gaps] = parsed[-1][gaps]
-        parsed.append(row)
+        values[row] = [_cell(c) for c in cells[n_fields - n_channels :]]  # None -> NaN
         if has_timestamp:
-            stamps.append(cells[0])
-    if not parsed:
+            stamps.append(cells[0].strip())
+    gaps = ~np.isfinite(values)
+    missing = gaps.any(axis=1)
+    if policy == "drop-row":
+        keep, reason = ~missing, "dropping row with missing values"
+    else:  # fill from the first complete row on
+        keep = np.cumsum(~missing) > 0
+        reason = "dropping leading row, nothing to fill from"
+    for row in np.flatnonzero(~keep).tolist():
+        logger.warning("%s:%d: %s", path, row + first_line, reason)
+    if not keep.any():
         raise DataError(f"{path}: every row was dropped")
+    values, gaps = values[keep], gaps[keep]
+    source = np.where(gaps, 0, np.arange(len(values))[:, None])  # last row with a value
+    values = values[np.maximum.accumulate(source, axis=0), np.arange(n_channels)]
     names = (
         header[1:] if (header and has_timestamp) else header
     ) or [f"ch{j}" for j in range(n_channels)]
     return Dataset(
         name=name or str(path),
-        values=np.array(parsed),
+        values=values,
         channel_names=list(names),
-        timestamps=stamps if has_timestamp else None,
+        timestamps=[t for t, k in zip(stamps, keep) if k] if has_timestamp else None,
     )
 
 

@@ -10,38 +10,28 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import build_boundary, contaminate_prefix
-from .chain import build_transfer_operator
-from .config import RolloutConfig
+from .config import ABLATION_SWITCHES, RolloutConfig
 from .data import Dataset
 from .decoder import DecoderParams, init_params
-from .memory import cold_start, update_memory
-from .rollout import EvalReport, correct_window, rollout
+from .rollout import EvalReport, rollout
+from .synth import biased_oracle_fixture
 
 CONTAMINATION_RATIOS = (0.0, 0.01, 0.05, 0.10, 0.20)
-OUTLIER_MAGNITUDE = 6.0  # in units of the train-split per-channel std
 
-ABLATION_VARIANTS = ("full", "local_only", "global_only", "no_bound", "no_memory")
+ABLATION_VARIANTS = ("full", *ABLATION_SWITCHES)
 
 
 def variant_config(config: RolloutConfig, variant: str) -> RolloutConfig:
-    cfg = copy.deepcopy(config)
-    s = cfg.solver
-    s.local_only = s.global_only = s.no_bound = s.no_memory = False
-    if variant == "local_only":
-        s.local_only = True
-    elif variant == "global_only":
-        s.global_only = True
-    elif variant == "no_bound":
-        s.no_bound = True
-    elif variant == "no_memory":
-        s.no_memory = True
-    elif variant != "full":
+    """A copy of `config` with only `variant`'s ablation switch on ("full": none)."""
+    if variant not in ABLATION_VARIANTS:
         raise ValueError(f"unknown ablation variant {variant!r}")
+    cfg = copy.deepcopy(config)
+    for switch in ABLATION_SWITCHES:
+        setattr(cfg.solver, switch, switch == variant)
     return cfg
 
 
@@ -67,17 +57,8 @@ class ContaminationSummary:
     zero_shot_identical: bool
 
     def table(self) -> list[dict]:
-        rows = []
-        for r in self.ratios:
-            agg = self.reports[r].aggregate()
-            rows.append(
-                {
-                    "ratio": r,
-                    "mse_base": agg["mse_base"],
-                    "mse_corrected": agg["mse_corrected"],
-                }
-            )
-        return rows
+        keys = ("mse_base", "mse_corrected")
+        return [self.reports[r].summary_row(keys, ratio=r) for r in self.ratios]
 
 
 def run_contamination_grid(
@@ -202,26 +183,12 @@ def run_sweep(
     for value in points:
         cfg = copy.deepcopy(config)
         if parameter == "prefix":
-            if value == "fft":
-                cfg.prefix_mode = "fft"
-                cfg.prefix_length = None
-            else:
-                cfg.prefix_mode = "fixed"
-                cfg.prefix_length = int(value)
+            cfg.set_prefix(value)
         else:
             setattr(cfg.solver, parameter, float(value))
         report = rollout(backbone, dataset, cfg, decoder_params)
-        agg = report.aggregate()
-        rows.append(
-            {
-                "parameter": parameter,
-                "value": value,
-                "mse_base": agg["mse_base"],
-                "mse_corrected": agg["mse_corrected"],
-                "mae_corrected": agg["mae_corrected"],
-                "improvement": agg["improvement"],
-            }
-        )
+        keys = ("mse_base", "mse_corrected", "mae_corrected", "improvement")
+        rows.append(report.summary_row(keys, parameter=parameter, value=value))
     return rows
 
 
@@ -238,7 +205,6 @@ class BenchResult:
     windows_per_second: float
     decoder_parameters: int
     decoder_macs_per_window: int
-    rows: list = field(default_factory=list)
 
 
 def bench_latency(
@@ -250,22 +216,24 @@ def bench_latency(
     config: RolloutConfig | None = None,
     seed: int = 0,
 ) -> list[BenchResult]:
-    """Module-only latency: boundary build + local solve + decode + fuse +
-    memory update over synthetic windows, excluding any backbone cost.
+    """Correction-engine latency: `rollout` over `batch` synthetic windows per horizon.
 
-    Reports the median ms/batch over `repetitions` timed passes plus the
-    decoder size. Parameter counts grow with the horizon because the decoder
-    maps horizon-length fields.
+    The windows come from a biased-oracle fixture with `channels` channels,
+    whose backbone only reads a slice, and get a fixed `prefix`-step boundary
+    and an untrained decoder. One untimed warm-up rollout builds the cached
+    operators. Reports the median ms per rollout over `repetitions` timed
+    ones plus the decoder size, which grows with the horizon because the
+    decoder maps horizon-length fields.
     """
     base = config or RolloutConfig()
-    rng = np.random.default_rng(seed)
     results = []
     for H in horizons:
-        cfg = copy.deepcopy(base)
-        cfg.horizon = H
-        cfg.stride = H
+        fx = biased_oracle_fixture(
+            H, base.lookback, channels, n_test_windows=batch, seed=seed, solver=base.solver
+        )
+        cfg = fx.config
+        cfg.set_prefix(prefix)
         s = cfg.solver
-        operator = build_transfer_operator(H, s.smoothness_alpha)
         params = init_params(
             horizon=H,
             context_size=s.context_size,
@@ -273,20 +241,11 @@ def bench_latency(
             output_scale=s.global_scale,
             seed=seed,
         )
-        forecasts = rng.standard_normal((batch, H, channels))
-        observed = forecasts[:, :prefix, :] + 0.3 * rng.standard_normal((batch, prefix, channels))
-        residuals = 0.3 * rng.standard_normal((batch, H, channels))
-
+        rollout(fx.backbone, fx.dataset, cfg, params)  # warm-up
         times = []
         for _ in range(repetitions):
-            memory = cold_start(H, channels, s.memory_decay, s.context_size)
             t0 = time.perf_counter()
-            for b in range(batch):
-                bnd = build_boundary(observed[b], forecasts[b], prefix)
-                delta, _ = correct_window(
-                    forecasts[b], bnd, memory, params, cfg, operator
-                )
-                memory = update_memory(memory, [residuals[b]])
+            rollout(fx.backbone, fx.dataset, cfg, params)
             times.append((time.perf_counter() - t0) * 1000.0)
         med = float(np.median(times))
         results.append(

@@ -49,7 +49,7 @@ from .decoder import (
     init_params,
     train_decoder,
 )
-from .fusion import FusionSchedule, fuse, global_gate
+from .fusion import fuse, global_gate
 from .local import solve_local
 from .memory import (
     MemoryState,
@@ -100,6 +100,11 @@ class EvalReport:
         }
         return out
 
+    def summary_row(self, keys=("mse_base", "mse_corrected", "improvement"), **lead) -> dict:
+        """One summary-CSV row: the `lead` columns, then the named aggregates."""
+        agg = self.aggregate()
+        return {**lead, **{k: agg[k] for k in keys}}
+
 
 def aggregate_rows(rows: list[dict], skip: int = 0, prefix: str = "") -> dict:
     """Mean window metrics, optionally skipping the first warm-up windows."""
@@ -115,23 +120,12 @@ def aggregate_rows(rows: list[dict], skip: int = 0, prefix: str = "") -> dict:
     return agg
 
 
-def _solver_schedule(config: RolloutConfig, ablate: bool = True) -> FusionSchedule:
-    s = config.solver
-    return FusionSchedule(
-        global_mix=s.effective_global_mix() if ablate else s.global_mix,
-        ramp_sharpness=s.ramp_sharpness,
-        ramp_midpoint=s.ramp_midpoint,
-        correction_clip=s.effective_clip() if ablate else s.correction_clip,
-    )
-
-
 def correct_window(
     forecast: np.ndarray,
     boundary: PrefixBoundary,
     memory: MemoryState,
     decoder_params: DecoderParams | None,
     config: RolloutConfig,
-    operator=None,
 ) -> tuple[np.ndarray, dict]:
     """One window's correction field and diagnostics, given its boundary.
 
@@ -140,19 +134,17 @@ def correct_window(
     """
     s = config.solver
     horizon, d = forecast.shape
-    schedule = _solver_schedule(config)
+    schedule = s.schedule()
     if boundary.is_empty():
         delta = np.zeros_like(forecast)
         return delta, {"local": delta, "global": delta}
-    if operator is None:
-        operator = build_transfer_operator(horizon, s.smoothness_alpha)
 
     if s.global_only:
         local_field = np.zeros_like(forecast)
     else:
         local_field = solve_local(
             boundary.prefix_error,
-            operator,
+            build_transfer_operator(horizon, s.smoothness_alpha),
             ridge_coef=s.ridge_coef,
             coef_clip=s.basis_clip,
             response_mix=s.local_mix,
@@ -377,7 +369,7 @@ def rollout(
     config.validate()
     s = config.solver
     H = config.horizon
-    schedule = _solver_schedule(config)
+    schedule = s.schedule()
     use_decoder = schedule.global_mix > 0 and decoder_params is not None
     backbone_digest = backbone.param_digest()
     decoder_digest = decoder_params.digest() if decoder_params is not None else None
@@ -448,7 +440,7 @@ def build_decoder_training_set(
     """
     config.validate()
     H, d = config.horizon, dataset.channels
-    gate = global_gate(_solver_schedule(config, ablate=False), H)
+    gate = global_gate(config.solver.schedule(ablate=False), H)
     plan = _Plan(_window_starts(dataset, config, part), H, "safe")
     capacity = len(plan.starts) * d  # rows when no window is flagged
     feats = np.empty((capacity, 5 * H + 2 * config.solver.context_size))

@@ -384,3 +384,26 @@ def test_decoder_gate_failures_exit_4(workdir, monkeypatch, capsys, patch, messa
     assert err.startswith("contract violation:") and message in err
     assert err.count("\n") == 1
     assert not (workdir / "in_process.params").exists()
+
+
+def test_rollout_drops_a_row_with_an_infinite_cell(workdir):
+    lines = (workdir / "toy.csv").read_text().splitlines()
+    lines[850] = "inf," + lines[850].split(",", 1)[1]  # a row of the test split
+    (workdir / "toy_inf.csv").write_text("\n".join(lines) + "\n")
+    res = _run(
+        ["rollout", "--data", "toy_inf.csv", *COMMON, "--backbone", "backbone.params",
+         "--decoder", "decoder.params", "--out-dir", "run_inf"],
+        cwd=workdir,
+    )
+    assert res.returncode == 0, res.stderr
+    assert "toy_inf.csv:851: dropping row with missing values" in res.stderr
+
+
+def test_importing_the_package_and_cli_leaves_scipy_signal_unloaded(tmp_path):
+    # importing scipy.signal costs about a second, more than a CLI call's set-up
+    code = "import smoothtta, smoothtta.cli, sys; print('scipy.signal' in sys.modules)"
+    res = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=_child_env(), capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

@@ -44,6 +44,29 @@ def test_forward_fill_policy_copies_previous(tmp_path):
     assert np.allclose(ds.values[1], [1.0, 4.0])
 
 
+@pytest.mark.parametrize("token", ["inf", "-inf", "nan", " INF "])
+def test_non_finite_cells_are_missing_values(tmp_path, token):
+    path = _write(tmp_path, f"1.0,2.0\n{token},4.0\n5.0,6.0\n")
+    assert load_csv(path, policy="drop-row").values.tolist() == [[1.0, 2.0], [5.0, 6.0]]
+    filled = load_csv(path, policy="forward-fill").values.tolist()
+    assert filled == [[1.0, 2.0], [1.0, 4.0], [5.0, 6.0]]
+
+
+def test_non_finite_cells_do_not_make_a_header_or_a_timestamp(tmp_path):
+    path = _write(tmp_path, "inf,2.0\n3.0,nan\n5.0,6.0\n")
+    ds = load_csv(path, policy="drop-row")
+    assert ds.values.tolist() == [[5.0, 6.0]]
+    assert ds.channel_names == ["ch0", "ch1"]
+    assert ds.timestamps is None
+
+
+def test_empty_first_cell_is_a_missing_value_not_a_timestamp(tmp_path):
+    path = _write(tmp_path, ",1.0\n2.0,3.0\n")
+    ds = load_csv(path, policy="drop-row")
+    assert ds.values.tolist() == [[2.0, 3.0]]
+    assert ds.timestamps is None
+
+
 def test_forward_fill_drops_leading_gap(tmp_path):
     path = _write(tmp_path, "2.0,\n3.0,4.0\n")
     ds = load_csv(path, policy="forward-fill")

@@ -1,8 +1,11 @@
 import copy
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import smoothtta.protocols as protocols
+from smoothtta.config import ABLATION_SWITCHES
 from smoothtta.decoder import DecoderParams
 from smoothtta.protocols import (
     ABLATION_VARIANTS,
@@ -14,6 +17,7 @@ from smoothtta.protocols import (
     run_sparse_anchor,
     run_sparse_boundary,
     run_sweep,
+    variant_config,
 )
 from smoothtta.rollout import rollout, train_decoder_for
 from smoothtta.synth import biased_oracle_fixture
@@ -191,6 +195,31 @@ def test_sweep_prefix_grid_switches_modes(fx, trained):
 def test_sweep_rejects_unknown_parameter(fx, trained):
     with pytest.raises(ValueError):
         run_sweep(fx.backbone, fx.dataset, fx.config, trained, "gamma")
+
+
+def test_bench_times_the_engine_rollout():
+    with mock.patch.object(protocols, "rollout", wraps=protocols.rollout) as spy:
+        results = bench_latency(horizons=(8, 16), batch=3, channels=2, prefix=3, repetitions=4)
+    assert spy.call_count == 2 * (4 + 1)  # one untimed warm-up per horizon
+    for (backbone, dataset, cfg, params), _ in spy.call_args_list:
+        assert (cfg.prefix_mode, cfg.prefix_length, cfg.max_windows) == ("fixed", 3, 3)
+        assert dataset.channels == 2 and params.horizon == cfg.horizon
+    assert [r.horizon for r in results] == [8, 16]
+
+
+def test_variant_config_sets_exactly_one_switch(fx):
+    for variant in ABLATION_VARIANTS:
+        s = variant_config(fx.config, variant).solver
+        on = [switch for switch in ABLATION_SWITCHES if getattr(s, switch)]
+        assert on == ([] if variant == "full" else [variant])
+    for variant in ("bogus", "no_boundary", ""):
+        with pytest.raises(ValueError, match="unknown ablation variant"):
+            variant_config(fx.config, variant)
+
+
+def test_sweep_rejects_a_non_integer_prefix(fx, trained):
+    with pytest.raises(ValueError, match="prefix must be"):
+        run_sweep(fx.backbone, fx.dataset, fx.config, trained, "prefix", grid=("2", "x"))
 
 
 def test_bench_reports_monotone_decoder_size():

@@ -201,6 +201,18 @@ def test_manifest_records_ablation_clip():
     assert cfg.manifest()["solver"]["effective_clip"] == "inf"
 
 
+def test_schedule_applies_the_ablation_switches_unless_told_not_to():
+    s = SolverConfig(global_mix=0.4, correction_clip=1.5, ramp_midpoint=0.3)
+    plain = s.schedule()
+    assert (plain.global_mix, plain.correction_clip, plain.ramp_midpoint) == (0.4, 1.5, 0.3)
+    s.local_only = s.no_bound = True
+    ablated = s.schedule()
+    assert ablated.global_mix == 0.0
+    assert ablated.correction_clip == np.inf
+    raw = s.schedule(ablate=False)
+    assert (raw.global_mix, raw.correction_clip) == (0.4, 1.5)
+
+
 def test_correction_gain_persists_under_both_normalization_modes():
     # a regime shift after the training split leaves the frozen linear
     # backbone with systematic error; per-window normalization absorbs part
