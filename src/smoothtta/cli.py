@@ -106,18 +106,21 @@ def _build_config(args) -> RolloutConfig:
     return cfg
 
 
-def _parse_split(spec: str):
-    if ":" in spec:
-        parts = [float(x) for x in spec.split(":")]
-        if len(parts) != 3:
-            raise ConfigError(f"--split ratios need three parts, got {spec!r}")
-        return tuple(parts)
-    return spec
+def _parse_list(spec: str, convert, flag: str, sep: str = ",", count: int | None = None):
+    """The `sep`-separated items of `spec` through `convert`; ConfigError naming `flag` if bad."""
+    try:
+        items = tuple(convert(x) for x in spec.split(sep))
+    except ValueError as exc:
+        raise ConfigError(f"--{flag} {spec!r}: {exc}") from None
+    if count is not None and len(items) != count:
+        raise ConfigError(f"--{flag} expects {count} {sep!r}-separated values, got {spec!r}")
+    return items
 
 
 def _load_dataset(args, cfg: RolloutConfig):
     ds = load_csv(_resolve_data(args.data), policy=args.policy)
-    split_dataset(ds, _parse_split(args.split), min_span=cfg.lookback + cfg.horizon)
+    split = _parse_list(args.split, float, "split", ":", 3) if ":" in args.split else args.split
+    split_dataset(ds, split, min_span=cfg.lookback + cfg.horizon)
     if cfg.standardize:
         ds = ds.standardized()
     return ds
@@ -208,10 +211,7 @@ def cmd_ablate(args) -> int:
 
 
 def _parse_ratios(spec: str) -> tuple[float, ...]:
-    try:
-        ratios = tuple(float(x) for x in spec.split(","))
-    except ValueError:
-        raise ConfigError(f"--ratios expects a comma list of numbers, got {spec!r}")
+    ratios = _parse_list(spec, float, "ratios")
     if any(not 0.0 <= r <= 1.0 for r in ratios):
         raise ConfigError(f"ratios must lie in [0, 1], got {spec!r}")
     return ratios
@@ -235,10 +235,7 @@ def cmd_contaminate(args) -> int:
 
 
 def _parse_steps(spec: str, horizon: int, what: str) -> tuple[int, int]:
-    try:
-        lo, hi = (int(x) for x in spec.split(":"))
-    except ValueError:
-        raise ConfigError(f"--{what} expects LO:HI, got {spec!r}")
+    lo, hi = _parse_list(spec, int, what, ":", 2)
     if not 1 <= lo <= hi <= horizon:
         raise ConfigError(
             f"--{what} range {spec} does not fit inside the horizon {horizon}"
@@ -284,11 +281,15 @@ def cmd_sparse_anchor(args) -> int:
     return 0
 
 
+def _prefix_spec(spec: str) -> str:
+    RolloutConfig().set_prefix(spec)  # raises ConfigError unless 'fft' or an integer
+    return spec
+
+
 def cmd_sweep(args) -> int:
+    convert = _prefix_spec if args.parameter == "prefix" else float
+    grid = _parse_list(args.grid, convert, "grid") if args.grid else None
     cfg, ds, backbone, decoder_params = _prepare(args)
-    grid = tuple(args.grid.split(",")) if args.grid else None
-    if grid and args.parameter != "prefix":
-        grid = tuple(float(g) for g in grid)
     rows = run_sweep(backbone, ds, cfg, decoder_params, args.parameter, grid)
     out = _out_dir(args, "sweep")
     write_rows(rows, out / "sweep.csv")
@@ -297,9 +298,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    horizons = tuple(int(x) for x in args.horizons.split(","))
     results = bench_latency(
-        horizons=horizons,
+        horizons=_parse_list(args.horizons, int, "horizons"),
         batch=args.batch,
         channels=args.channels,
         prefix=args.prefix_len,

@@ -223,7 +223,8 @@ def bench_latency(
     and an untrained decoder. One untimed warm-up rollout builds the cached
     operators. Reports the median ms per rollout over `repetitions` timed
     ones plus the decoder size, which grows with the horizon because the
-    decoder maps horizon-length fields.
+    decoder maps horizon-length fields, and its multiply-adds per window,
+    which also grow with the `prefix` the decoder reads.
     """
     base = config or RolloutConfig()
     results = []
@@ -260,7 +261,7 @@ def bench_latency(
                 ms_per_window=med / batch,
                 windows_per_second=1000.0 * batch / med if med > 0 else float("inf"),
                 decoder_parameters=params.count(),
-                decoder_macs_per_window=params.macs_per_channel() * channels,
+                decoder_macs_per_window=params.macs_per_window(min(prefix, H), channels),
             )
         )
     return results

@@ -60,8 +60,9 @@ from .memory import (
     residual_summaries,
 )
 
-# Execute-chunk budget for the decoder's feature rows, d * (5H + 2K) floats
-# per window; a chunk's other per-window arrays are of the same order.
+# Execute-chunk budget, sized by the decoder training set's feature rows of
+# d * (5H + 2K) floats per window (rollout's decoder pass builds no rows); a
+# chunk's other per-window arrays are of the same order.
 CHUNK_BYTES = 4 << 20
 
 decoder_log = logging.getLogger("smoothtta.decoder")
@@ -372,7 +373,6 @@ def rollout(
     schedule = s.schedule()
     use_decoder = schedule.global_mix > 0 and decoder_params is not None
     backbone_digest = backbone.param_digest()
-    decoder_digest = decoder_params.digest() if decoder_params is not None else None
     sigma = contamination_sigma if contamination_sigma is not None else dataset.train_std()
     slices = {"": headline_slice if headline_slice is not None else slice(0, H)}
     slices.update({f"{name}_": sl for name, sl in (extra_slices or {}).items()})
@@ -407,8 +407,8 @@ def rollout(
 
     if backbone.param_digest() != backbone_digest:
         raise ContractViolation("backbone parameters changed during rollout")
-    if decoder_params is not None and decoder_params.digest() != decoder_digest:
-        raise ContractViolation("decoder parameters changed during rollout")
+    if decoder_params is not None and decoder_params.digest() != decoder_params.frozen_digest:
+        raise ContractViolation("decoder parameters changed after they were frozen")
 
     report = EvalReport(
         dataset=dataset.name,

@@ -386,6 +386,54 @@ def test_decoder_gate_failures_exit_4(workdir, monkeypatch, capsys, patch, messa
     assert not (workdir / "in_process.params").exists()
 
 
+def test_train_decoder_exits_4_when_a_feature_is_nan(workdir, monkeypatch, capsys):
+    rollout_module = sys.modules["smoothtta.rollout"]
+    original = rollout_module.build_decoder_training_set
+
+    def with_nan_feature(*args, **kwargs):
+        feats, *rest = original(*args, **kwargs)
+        feats[:, 0] = np.nan
+        return (feats, *rest)
+
+    monkeypatch.setattr(rollout_module, "build_decoder_training_set", with_nan_feature)
+    assert _train_in_process(workdir) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("contract violation: gradient check failed") and err.count("\n") == 1
+    assert not (workdir / "in_process.params").exists()
+
+
+def _expect_configuration_error(argv, flag, capsys):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: --{flag} ") and err.count("\n") == 1
+
+
+def test_bench_rejects_a_non_integer_horizon(tmp_path, capsys):
+    argv = ["bench", "--horizons", "96,x", "--out-dir", str(tmp_path)]
+    _expect_configuration_error(argv, "horizons", capsys)
+    assert not (tmp_path / "bench").exists()
+
+
+def test_rollout_rejects_a_non_numeric_split(workdir, capsys):
+    argv = ["rollout", "--data", str(workdir / "toy.csv"), *COMMON, "--split", "0.5:x:0.2",
+            "--backbone", str(workdir / "backbone.params"),
+            "--decoder", str(workdir / "decoder.params"), "--out-dir", str(workdir / "run_bad_split")]
+    _expect_configuration_error(argv, "split", capsys)
+    assert not (workdir / "run_bad_split").exists()
+
+
+@pytest.mark.parametrize("parameter, grid", [("memory_decay", "0.5,x"), ("prefix", "2,x")])
+def test_sweep_rejects_a_bad_grid_before_fitting(workdir, monkeypatch, capsys, parameter, grid):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("fitted or trained before the grid was parsed")
+
+    monkeypatch.setattr(cli.bb, "fit_linear_backbone", must_not_run)
+    monkeypatch.setattr(cli, "train_decoder_for", must_not_run)
+    argv = ["sweep", "--data", str(workdir / "toy.csv"), *COMMON, "--parameter", parameter,
+            "--grid", grid, "--out-dir", str(workdir / "run_bad_grid")]
+    _expect_configuration_error(argv, "grid", capsys)
+
+
 def test_rollout_drops_a_row_with_an_infinite_cell(workdir):
     lines = (workdir / "toy.csv").read_text().splitlines()
     lines[850] = "inf," + lines[850].split(",", 1)[1]  # a row of the test split

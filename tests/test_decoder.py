@@ -97,6 +97,85 @@ def test_decode_rejects_nan_inputs():
         decode(p, forecast, local, padded, mask, template, z)
 
 
+# --- structured decode_batch against the dense forward pass ---
+
+
+def _dense_decode(p, *inputs):
+    n, H, d = inputs[0].shape
+    out, _ = dec._forward(p, build_features(*inputs).reshape(n * d, -1))
+    return out.reshape(n, d, H).transpose(0, 2, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    horizon=st.integers(1, 30),
+    context=st.integers(1, 4),
+    hidden=st.integers(1, 20),
+    windows=st.integers(1, 4),
+    channels=st.integers(1, 3),
+    mask_kind=st.sampled_from(["prefix", "anchors", "empty"]),
+    stray=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_structured_decode_matches_dense_forward(
+    horizon, context, hidden, windows, channels, mask_kind, stray, seed
+):
+    rng = np.random.default_rng(seed)
+    p = init_params(horizon=horizon, context_size=context, hidden=hidden, seed=seed)
+    n, d = windows, channels
+    if mask_kind == "prefix":
+        masks = (np.arange(horizon) < rng.integers(1, horizon + 1, size=(n, 1))).astype(float)
+    elif mask_kind == "anchors":
+        masks = (rng.random((n, horizon)) < 0.3).astype(float)
+    else:
+        masks = np.zeros((n, horizon))
+    padded = np.where(masks[..., None] > 0, rng.standard_normal((n, horizon, d)), 0.0)
+    if stray:  # a public-API caller's padded error may be nonzero off the mask
+        padded[rng.integers(n), rng.integers(horizon), rng.integers(d)] = rng.standard_normal()
+    forecast, local, template = (rng.standard_normal((n, horizon, d)) for _ in range(3))
+    inputs = (forecast, local, padded, masks, template, rng.standard_normal((n, 2 * context)))
+    expected = _dense_decode(p, *inputs)
+    got = dec.decode_batch(p, *inputs)
+    assert got.shape == (n, horizon, d)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("block", range(6), ids=dec._INPUTS)
+def test_decode_batch_names_the_non_finite_block(block, bad):
+    # the last entry of every block lies past the 2-step prefix mask of _inputs
+    inputs = [np.array(x, dtype=float)[None] for x in _inputs()]
+    inputs[block].flat[-1] = bad
+    with pytest.raises(ValueError, match=rf"non-finite values in: \['{dec._INPUTS[block]}'\]$"):
+        dec.decode_batch(_params(), *inputs)
+
+
+def test_decode_batch_names_every_non_finite_block():
+    inputs = [np.array(x, dtype=float)[None] for x in _inputs()]
+    for x in inputs:
+        x.flat[-1] = np.nan
+    with pytest.raises(ValueError) as err:
+        dec.decode_batch(_params(), *inputs)
+    assert str(err.value).endswith(str(list(dec._INPUTS)))
+
+
+@pytest.mark.parametrize("span", [0, 2, H])
+def test_w1_views_are_read_only_columns_of_w1(span):
+    p = _params()
+    w = p.w1_views(span)
+    assert list(w) == ["forecast|local|padded_error", "mask", "memory", "context"]
+    assert all(v.base is p.W1 and not v.flags.writeable for v in w.values())
+    columns = np.r_[: 2 * H + span, 3 * H : 3 * H + span, 4 * H : p.input_width]
+    assert np.array_equal(np.concatenate(list(w.values()), axis=1), p.W1[:, columns])
+
+
+def test_macs_per_window_falls_with_the_observed_span():
+    p = _params()
+    counts = [p.macs_per_window(span, channels=3) for span in range(H, -1, -1)]
+    assert all(a > b for a, b in zip(counts, counts[1:]))
+    assert counts[0] < 3 * (p.W1.size + p.W2.size)  # below the dense count at any span
+
+
 def test_params_are_frozen():
     p = _params()
     with pytest.raises(ValueError):
@@ -128,6 +207,14 @@ def test_gradient_check_zero_sample_zero_params_is_zero():
     )
     err = gradient_check(zero, np.zeros(5 * H + 2 * K), np.zeros(H), np.zeros(H), np.zeros(H))
     assert err == 0.0
+
+
+def test_gradient_check_fails_on_a_nan_feature():
+    p, feats, target, local, gate = _sample(3)
+    feats[0] = np.nan
+    assert gradient_check(p, feats, target, local, gate) == np.inf
+    with pytest.raises(GradientCheckError):
+        train_decoder(p, feats[None], target[None], local[None], gate, TrainConfig(check_samples=1))
 
 
 def test_gradient_check_detects_corrupted_gradient():

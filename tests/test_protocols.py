@@ -222,6 +222,15 @@ def test_sweep_rejects_a_non_integer_prefix(fx, trained):
         run_sweep(fx.backbone, fx.dataset, fx.config, trained, "prefix", grid=("2", "x"))
 
 
+def test_bench_decoder_macs_fall_as_the_prefix_shrinks():
+    macs = [
+        bench_latency(horizons=(16,), batch=2, channels=2, prefix=prefix, repetitions=1)[0]
+        .decoder_macs_per_window
+        for prefix in (8, 4, 1)
+    ]
+    assert macs[0] > macs[1] > macs[2]
+
+
 def test_bench_reports_monotone_decoder_size():
     results = bench_latency(horizons=(8, 16, 32), batch=4, channels=2, prefix=3, repetitions=3)
     sizes = [r.decoder_parameters for r in results]

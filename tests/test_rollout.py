@@ -1,10 +1,13 @@
 import copy
+import importlib
 
 import numpy as np
 import pytest
 
 from smoothtta.backbones import BiasedOracleForecaster
 from smoothtta.config import RolloutConfig, SolverConfig
+from smoothtta.decoder import DecoderParams, init_params
+from smoothtta.fusion import fuse
 from smoothtta.rollout import (
     ContractViolation,
     build_decoder_training_set,
@@ -14,6 +17,9 @@ from smoothtta.rollout import (
     write_metrics_csv,
 )
 from smoothtta.synth import biased_oracle_fixture
+
+# the package re-exports the function `rollout` under the submodule's name
+rollout_module = importlib.import_module("smoothtta.rollout")
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +138,48 @@ def test_frozen_backbone_contract(small_fixture):
 
     with pytest.raises(ContractViolation, match="backbone"):
         rollout(Drifting(), fx.dataset, fx.config, None)
+
+
+def _untrained_decoder(fx):
+    s = fx.config.solver
+    return init_params(fx.config.horizon, s.context_size, s.hidden_dim, s.global_scale)
+
+
+def _tamper(params):
+    params.W1.flags.writeable = True
+    params.W1[0, 0] += 1.0
+
+
+def test_frozen_decoder_contract_mid_rollout(small_fixture, monkeypatch):
+    fx = small_fixture
+    params = _untrained_decoder(fx)
+    rollout(fx.backbone, fx.dataset, fx.config, params)  # untouched: passes
+
+    def tampering_fuse(*args, **kwargs):
+        _tamper(params)
+        return fuse(*args, **kwargs)
+
+    monkeypatch.setattr(rollout_module, "fuse", tampering_fuse)
+    with pytest.raises(ContractViolation, match="decoder"):
+        rollout(fx.backbone, fx.dataset, fx.config, params)
+
+
+def test_frozen_decoder_contract_covers_mutation_before_the_call(small_fixture):
+    fx = small_fixture
+    params = _untrained_decoder(fx)
+    _tamper(params)
+    with pytest.raises(ContractViolation, match="decoder"):
+        rollout(fx.backbone, fx.dataset, fx.config, params)
+
+
+def test_rollout_hashes_the_decoder_once(small_fixture, monkeypatch):
+    fx = small_fixture
+    params = _untrained_decoder(fx)
+    calls = []
+    digest = DecoderParams.digest
+    monkeypatch.setattr(DecoderParams, "digest", lambda self: calls.append(self) or digest(self))
+    rollout(fx.backbone, fx.dataset, fx.config, params)
+    assert len(calls) == 1 and calls[0] is params
 
 
 def test_zero_prefix_override_reduces_to_zero_shot(small_fixture):
