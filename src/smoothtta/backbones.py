@@ -24,7 +24,7 @@ class FitError(RuntimeError):
 def _digest_arrays(*arrays: np.ndarray) -> str:
     md = hashlib.sha256()
     for arr in arrays:
-        md.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+        md.update(np.ascontiguousarray(arr, dtype=np.float64))  # the bytes of tobytes(), uncopied
     return md.hexdigest()
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 OUTLIER_MAGNITUDE = 6.0  # contamination outliers, in units of the train-split per-channel std
+_SIGNS = np.array([-1.0, 1.0])  # indexed by rng.integers(2): the draw rng.choice([-1.0, 1.0]) makes
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,7 @@ def contaminate_errors(
         rng = np.random.default_rng(seed)
         for c in range(channels):
             pos = rng.choice(a, size=n_hit, replace=False)
-            signs = rng.choice([-1.0, 1.0], size=n_hit)
+            signs = _SIGNS[rng.integers(2, size=n_hit)]
             observed[i, pos, c] = signs * OUTLIER_MAGNITUDE * sigma[c]
     inside = np.arange(horizon) < np.asarray(lengths)[:, None]
     return np.where(inside[..., None], observed - forecasts, 0.0)

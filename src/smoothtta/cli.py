@@ -298,6 +298,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    for flag in ("channels", "batch", "reps", "prefix_len"):
+        value = getattr(args, flag)
+        if value < 1:
+            raise ConfigError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
     results = bench_latency(
         horizons=_parse_list(args.horizons, int, "horizons"),
         batch=args.batch,

@@ -42,6 +42,15 @@ class Dataset:
     timestamps: list[str] | None = None
     split: Split | None = None
 
+    def __post_init__(self):
+        finite = np.isfinite(self.values)
+        if not finite.all():
+            row, channel = (int(i) for i in np.argwhere(~finite)[0])
+            raise DataError(
+                f"{self.name}: non-finite value {self.values[row, channel]} "
+                f"at row {row}, channel {channel}"
+            )
+
     @property
     def length(self) -> int:
         return self.values.shape[0]

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -174,3 +176,12 @@ def test_batched_prediction_matches_per_window_formulas():
         mu, sd = X[i].mean(axis=0), np.maximum(X[i].std(axis=0), wrapped.STD_FLOOR)
         ref = inner.predict((X[i] - mu) / sd) * sd + mu
         assert np.allclose(normed[i], ref, rtol=1e-12, atol=1e-14)
+
+
+def test_linear_backbone_digest_is_the_sha256_of_the_parameter_bytes():
+    # saved digests were computed from tobytes(); hashing the arrays directly must agree
+    series = np.random.default_rng(2).standard_normal((300, 3))
+    fc = fit_linear_backbone(series, lookback=8, horizon=5)
+    md = hashlib.sha256(fc.weights.tobytes())
+    md.update(fc.intercepts.tobytes())
+    assert fc.param_digest() == md.hexdigest()

@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothtta.boundary import (
     InvalidRatioError,
     anchor_boundary,
+    OUTLIER_MAGNITUDE,
     build_boundary,
+    contaminate_errors,
     contaminate_prefix,
     empty_boundary,
     estimate_dominant_period,
@@ -166,3 +172,23 @@ def test_anchor_boundary_zero_residual_outside_anchors():
     assert np.allclose(b.prefix_error[untouched], 0.0)
     assert b.mask.sum() == 2
     assert np.array_equal(np.flatnonzero(b.mask), [4, 17])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ratio=st.floats(0.0, 1.0),
+    length=st.integers(1, 40),
+    channels=st.integers(1, 3),
+)
+def test_contamination_draws_the_positions_and_signs_of_rng_choice(seed, ratio, length, channels):
+    # the oracle draws the signs with rng.choice([-1.0, 1.0]), interleaved with the positions
+    horizon = length + 3
+    expected = np.zeros((horizon, channels))
+    rng = np.random.default_rng(seed)
+    for c in range(channels):
+        pos = rng.choice(length, size=math.ceil(ratio * length), replace=False)
+        expected[pos, c] = rng.choice([-1.0, 1.0], size=pos.size) * OUTLIER_MAGNITUDE
+    zeros = np.zeros((1, horizon, channels))
+    out = contaminate_errors(zeros, zeros, [length], ratio, np.ones(channels), [seed])[0]
+    assert np.array_equal(out, expected)

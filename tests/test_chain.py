@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothtta.chain import (
     EmptyBoundaryError,
@@ -210,3 +212,22 @@ def test_weighted_harmonic_extension_stationarity():
     L = chain_laplacian(chain)
     residual = np.abs(L[3:, 3:] @ field[3:] + L[3:, :3] @ field[:3]).max()
     assert residual < 1e-8
+
+
+@settings(max_examples=30, deadline=None)
+@given(H=st.integers(2, 720), alpha=st.floats(1e-3, 10.0))
+def test_transfer_operator_matches_closed_form_inverse(H, alpha):
+    # (D^T D + alpha I) has the cosine eigenbasis V[j, k] = c_k cos(pi k (j + 1/2) / H)
+    # with eigenvalues 2 - 2 cos(pi k / H) + alpha, so its inverse is V diag(1/eig) V^T
+    clear_operator_cache()
+    try:
+        P = build_transfer_operator(H, alpha).matrix
+    finally:
+        clear_operator_cache()
+    k = np.arange(H)
+    V = np.cos(np.pi * np.outer(np.arange(H) + 0.5, k) / H) * np.sqrt(2.0 / H)
+    V[:, 0] = np.sqrt(1.0 / H)
+    expected = (V / (2.0 - 2.0 * np.cos(np.pi * k / H) + alpha)) @ V.T
+    assert np.abs(P - expected).max() <= 1e-11 * np.abs(expected).max()
+    assert np.array_equal(P, P.T)
+    assert not P.flags.writeable

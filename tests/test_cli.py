@@ -455,3 +455,37 @@ def test_importing_the_package_and_cli_leaves_scipy_signal_unloaded(tmp_path):
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("channels", "0"), ("batch", "0"), ("reps", "0"), ("prefix-len", "-3")]
+)
+def test_bench_rejects_a_count_below_one(tmp_path, monkeypatch, capsys, flag, value):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("benchmarked before the flags were checked")
+
+    monkeypatch.setattr(cli, "bench_latency", must_not_run)
+    argv = ["bench", "--horizons", "8", f"--{flag}", value, "--out-dir", str(tmp_path)]
+    _expect_configuration_error(argv, flag, capsys)
+    assert not (tmp_path / "bench").exists()
+
+
+def test_fit_train_and_rollout_leave_scipy_unloaded(tmp_path):
+    _make_csv(tmp_path / "toy.csv")
+    code = f"""
+import sys
+from smoothtta import cli
+common = ["--data", "toy.csv", *{COMMON!r}]
+for argv in (
+    ["fit-backbone", *common, "--out", "backbone.params"],
+    ["train-decoder", *common, "--out", "decoder.params"],
+    ["rollout", *common, "--backbone", "backbone.params", "--decoder", "decoder.params"],
+):
+    assert cli.main(argv) == 0, argv
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+    res = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=_child_env(), capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"

@@ -150,3 +150,11 @@ def test_train_std_per_channel():
     split_dataset(ds, "standard")
     manual = ds.values[:350].std(axis=0)
     assert np.allclose(ds.train_std(), manual)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dataset_rejects_a_non_finite_value(bad):
+    values = np.zeros((5, 3))
+    values[3, 1] = bad
+    with pytest.raises(DataError, match="row 3, channel 1"):
+        Dataset(name="toy", values=values, channel_names=["a", "b", "c"])
