@@ -8,7 +8,8 @@ field), then fits how much of each field to apply with a tiny clipped ridge.
 import numpy as np
 
 from smoothtta import build_transfer_operator, solve_local
-from smoothtta.local import bias_field, extract_fast_error, propagate_fast_error
+from smoothtta.local import extract_fast_error
+from smoothtta.reference import bias_field, propagate_fast_error
 
 np.set_printoptions(precision=3, suppress=True)
 rng = np.random.default_rng(11)

@@ -10,9 +10,7 @@ long-range structure, and a horizon-ramped clipped fusion combines the two.
 from .backbones import (
     BiasedOracleForecaster,
     LinearForecaster,
-    NaiveLastForecaster,
     NormalizationWrapper,
-    SeasonalNaiveForecaster,
     fit_linear_backbone,
 )
 from .boundary import (
@@ -22,20 +20,20 @@ from .boundary import (
     estimate_dominant_period,
     select_prefix_length,
 )
-from .chain import (
-    TemporalChain,
-    TransferOperator,
-    build_transfer_operator,
-    difference_matrix,
-    dirichlet_energy,
-    harmonic_extension,
-)
+from .chain import TransferOperator, build_transfer_operator, difference_matrix
 from .config import RolloutConfig, SolverConfig
 from .data import Dataset, load_csv, split_dataset
 from .decoder import DecoderParams, decode, gradient_check, init_params, train_decoder
 from .fusion import FusionSchedule, apply_correction, fuse, normalized_shares, ramp
-from .local import LocalCorrection, bias_field, extract_fast_error, propagate_fast_error, solve_local
+from .local import LocalCorrection, extract_fast_error, solve_local
 from .memory import MemoryState, cold_start, context_vector, update_memory
+from .reference import (
+    TemporalChain,
+    bias_field,
+    dirichlet_energy,
+    harmonic_extension,
+    propagate_fast_error,
+)
 from .rollout import ContractViolation, EvalReport, correct_window, rollout, train_decoder_for
 from .synth import biased_oracle_fixture, seasonal_stream
 
@@ -51,11 +49,9 @@ __all__ = [
     "LinearForecaster",
     "LocalCorrection",
     "MemoryState",
-    "NaiveLastForecaster",
     "NormalizationWrapper",
     "PrefixBoundary",
     "RolloutConfig",
-    "SeasonalNaiveForecaster",
     "SolverConfig",
     "TemporalChain",
     "TransferOperator",

@@ -2,10 +2,10 @@
 
 The correction solver never looks inside a backbone; it only needs a frozen
 (L, d) -> (H, d) map. Provided here: a closed-form linear (ridge) forecaster
-fit offline on sliding windows, two naive baselines, a biased oracle fixture
-whose residual field is known by construction, and a per-window normalization
-wrapper. All parameters are immutable after fitting; a digest over the
-parameter block lets the harness verify nothing moved during a rollout.
+fit offline on sliding windows, a biased oracle fixture whose residual field
+is known by construction, and a per-window normalization wrapper. All
+parameters are immutable after fitting; a digest over the parameter block
+lets the harness verify nothing moved during a rollout.
 """
 
 from __future__ import annotations
@@ -108,49 +108,6 @@ def fit_linear_backbone(
     return LinearForecaster(lookback, horizon, weights, intercepts)
 
 
-class NaiveLastForecaster:
-    """Repeats the final lookback row across the horizon."""
-
-    kind = "naive-last"
-
-    def __init__(self, lookback: int, horizon: int, channels: int):
-        self.lookback = lookback
-        self.horizon = horizon
-        self.channels = channels
-
-    def predict(self, X: np.ndarray, start: int | None = None) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        return np.tile(X[-1], (self.horizon, 1))
-
-    def param_digest(self) -> str:
-        return _digest_arrays(np.array([self.lookback, self.horizon, self.channels], float))
-
-
-class SeasonalNaiveForecaster:
-    """Repeats the last full period of the lookback across the horizon."""
-
-    kind = "seasonal-naive"
-
-    def __init__(self, lookback: int, horizon: int, channels: int, period: int):
-        if period < 1 or period > lookback:
-            raise ValueError(f"period {period} outside [1, lookback={lookback}]")
-        self.lookback = lookback
-        self.horizon = horizon
-        self.channels = channels
-        self.period = period
-
-    def predict(self, X: np.ndarray, start: int | None = None) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        cycle = X[-self.period:]
-        reps = -(-self.horizon // self.period)
-        return np.tile(cycle, (reps, 1))[: self.horizon]
-
-    def param_digest(self) -> str:
-        return _digest_arrays(
-            np.array([self.lookback, self.horizon, self.channels, self.period], float)
-        )
-
-
 class BiasedOracleForecaster:
     """Test fixture: the reference trajectory plus a fixed bias field.
 
@@ -186,36 +143,21 @@ class BiasedOracleForecaster:
 class NormalizationWrapper:
     """Per-window standardize/de-standardize shell around a backbone.
 
-    When enabled, the lookback's per-channel mean/std standardize the input
-    and exactly invert on the output (std floored at 1e-8 for flat
-    channels). Disabled, it is the identity around the inner forecaster.
+    The lookback's per-channel mean/std standardize the input and exactly
+    invert on the output (std floored at 1e-8 for flat channels).
     """
 
     STD_FLOOR = 1e-8
 
-    def __init__(self, inner, enabled: bool = True):
+    def __init__(self, inner):
         self.inner = inner
-        self.enabled = enabled
-        self.kind = f"norm({inner.kind})" if enabled else inner.kind
-
-    @property
-    def lookback(self):
-        return self.inner.lookback
-
-    @property
-    def horizon(self):
-        return self.inner.horizon
-
-    @property
-    def channels(self):
-        return self.inner.channels
+        self.kind = f"norm({inner.kind})"
+        self.lookback, self.horizon, self.channels = inner.lookback, inner.horizon, inner.channels
 
     def predict(self, X: np.ndarray, start: int | None = None) -> np.ndarray:
         return self.predict_batch(np.asarray(X, dtype=float)[None], [start])[0]
 
     def predict_batch(self, X: np.ndarray, starts) -> np.ndarray:
-        if not self.enabled:
-            return predict_batch(self.inner, X, starts)
         X = np.asarray(X, dtype=float)
         mu = X.mean(axis=1, keepdims=True)
         sd = np.maximum(X.std(axis=1, keepdims=True), self.STD_FLOOR)
@@ -238,12 +180,12 @@ def save_backbone(forecaster: LinearForecaster, path) -> None:
 
 
 def load_backbone(path) -> LinearForecaster:
+    """The saved linear backbone; ValueError if the header and blocks disagree."""
     header, blocks = paramio.load_blocks(path)
     if header.get("kind") != "linear":
         raise ValueError(f"unsupported backbone kind {header.get('kind')!r}")
-    return LinearForecaster(
-        lookback=int(header["lookback"]),
-        horizon=int(header["horizon"]),
-        weights=blocks["weights"],
-        intercepts=blocks["intercepts"],
-    )
+    L, H, d = (paramio.header_number(header, k) for k in ("lookback", "horizon", "channels"))
+    shapes = {name: arr.shape for name, arr in blocks.items()}
+    if shapes != {"weights": (d, L, H), "intercepts": (d, H)}:
+        raise ValueError(f"blocks {shapes} do not fit the header's (L, H, d) = {(L, H, d)}")
+    return LinearForecaster(L, H, blocks["weights"], blocks["intercepts"])

@@ -126,34 +126,6 @@ def build_boundary(
     return PrefixBoundary(length=length, padded_error=padded, mask=mask)
 
 
-def anchor_boundary(
-    observed: np.ndarray,
-    forecast: np.ndarray,
-    support: int,
-    anchor_positions: np.ndarray,
-) -> PrefixBoundary:
-    """Boundary for the sparse-anchor protocol.
-
-    Within the support window only the anchor positions carry true
-    observations; every other support position keeps the zero-shot
-    prediction and therefore contributes exactly zero residual. The mask
-    marks the anchors so the decoder can tell them from unobserved steps.
-    """
-    forecast = np.asarray(forecast, dtype=float)
-    horizon, channels = forecast.shape
-    if not 1 <= support <= horizon:
-        raise ValueError(f"support window {support} outside [1, {horizon}]")
-    padded = np.zeros((horizon, channels))
-    pos = np.asarray(anchor_positions, dtype=int)
-    if pos.size:
-        if pos.min() < 0 or pos.max() >= support:
-            raise ValueError("anchor positions must lie inside the support window")
-        padded[pos] = np.asarray(observed, dtype=float)[pos] - forecast[pos]
-    mask = np.zeros(horizon)
-    mask[pos] = 1.0
-    return PrefixBoundary(length=support, padded_error=padded, mask=mask)
-
-
 class InvalidRatioError(ValueError):
     """Contamination ratio must lie in [0, 1]."""
 

@@ -3,9 +3,9 @@
 The prediction horizon is treated as a path graph with one node per step.
 Correction fields live on this graph; smoothness is measured by the discrete
 Dirichlet energy of adjacent-step differences. This module builds the
-first-order difference matrix, the chain Laplacian, the regularized transfer
-operator used for error propagation, and an exact harmonic-extension solver
-that serves as the reference for boundary-constrained smoothing.
+first-order difference matrix and, from it, the cached regularized transfer
+operator (L + alpha*I)^-1 used for error propagation. The exact
+harmonic-extension oracle lives in `reference`.
 """
 
 from __future__ import annotations
@@ -24,36 +24,6 @@ class InvalidRegularizerError(ValueError):
     """Smoothness regularizer must be strictly positive."""
 
 
-@dataclass(frozen=True)
-class TemporalChain:
-    """Path graph over horizon steps 0..horizon-1.
-
-    edge_weights holds one nonnegative weight per consecutive-step edge;
-    None means the unweighted chain (all ones).
-    """
-
-    horizon: int
-    edge_weights: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.horizon < 2:
-            raise InvalidHorizonError(f"chain needs horizon >= 2, got {self.horizon}")
-        if self.edge_weights is not None:
-            w = np.asarray(self.edge_weights, dtype=float)
-            if w.shape != (self.horizon - 1,):
-                raise ValueError(
-                    f"expected {self.horizon - 1} edge weights, got shape {w.shape}"
-                )
-            if np.any(w < 0):
-                raise ValueError("edge weights must be nonnegative")
-            object.__setattr__(self, "edge_weights", w)
-
-    def weights(self) -> np.ndarray:
-        if self.edge_weights is None:
-            return np.ones(self.horizon - 1)
-        return self.edge_weights
-
-
 def difference_matrix(horizon: int) -> np.ndarray:
     """First-order temporal difference matrix, shape (horizon-1, horizon).
 
@@ -66,20 +36,6 @@ def difference_matrix(horizon: int) -> np.ndarray:
     D[idx, idx] = -1.0
     D[idx, idx + 1] = 1.0
     return D
-
-
-def chain_laplacian(chain: TemporalChain) -> np.ndarray:
-    """Graph Laplacian of the chain: D^T diag(w) D, tridiagonal."""
-    w = chain.weights()
-    H = chain.horizon
-    L = np.zeros((H, H))
-    deg = np.zeros(H)
-    deg[:-1] += w
-    deg[1:] += w
-    L[np.arange(H), np.arange(H)] = deg
-    L[np.arange(H - 1), np.arange(1, H)] = -w
-    L[np.arange(1, H), np.arange(H - 1)] = -w
-    return L
 
 
 @dataclass(frozen=True)
@@ -139,52 +95,3 @@ def build_transfer_operator(horizon: int, alpha: float) -> TransferOperator:
 def clear_operator_cache() -> None:
     with _cache_lock:
         _operator_cache.clear()
-
-
-def dirichlet_energy(field_values: np.ndarray, chain: TemporalChain | None = None) -> float:
-    """Discrete Dirichlet energy (1/2) * sum_h w_h * ||field[h+1] - field[h]||^2.
-
-    Zero exactly when the field is constant along the horizon (unit weights).
-    """
-    F = np.atleast_2d(np.asarray(field_values, dtype=float))
-    if F.shape[0] == 1 and F.shape[1] > 1 and np.ndim(field_values) == 1:
-        F = F.T
-    H = F.shape[0]
-    if chain is None:
-        chain = TemporalChain(H)
-    if H != chain.horizon:
-        raise ValueError(f"field has {H} rows but chain has horizon {chain.horizon}")
-    diffs = np.diff(F, axis=0)
-    return 0.5 * float(np.sum(chain.weights() * np.sum(diffs**2, axis=1)))
-
-
-class EmptyBoundaryError(ValueError):
-    """Harmonic extension needs at least one boundary node."""
-
-
-def harmonic_extension(
-    boundary_values: np.ndarray, horizon: int, chain: TemporalChain | None = None
-) -> np.ndarray:
-    """Exact Dirichlet-energy minimizer with prefix rows pinned to the boundary.
-
-    Boundary occupies nodes 0..a-1; the interior solves the Laplacian system
-    L_UU x = -L_UB b for all channels at once with one dense
-    `np.linalg.solve`. On a unit-weight chain the one-sided boundary makes
-    the interior a flat copy of the last boundary row. Returns the full
-    (horizon, d) field.
-    """
-    B = np.atleast_2d(np.asarray(boundary_values, dtype=float))
-    if np.ndim(boundary_values) == 1:
-        B = B.T
-    a = B.shape[0]
-    if a < 1:
-        raise EmptyBoundaryError("need at least one boundary row")
-    if a >= horizon:
-        return B[:horizon].copy()
-    if chain is None:
-        chain = TemporalChain(horizon)
-    L = chain_laplacian(chain)
-    L_UU = L[a:, a:]
-    L_UB = L[a:, :a]
-    interior = np.linalg.solve(L_UU, -L_UB @ B)
-    return np.vstack([B, interior])

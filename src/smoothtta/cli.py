@@ -141,21 +141,27 @@ def _prepare(args, need_decoder: bool = True):
     ds = _load_dataset(args, cfg)
     if args.backbone:
         backbone = _load_artifact(bb.load_backbone, args.backbone, "backbone")
-        if backbone.lookback != cfg.lookback or backbone.horizon != cfg.horizon:
+        fitted = (backbone.lookback, backbone.horizon, backbone.channels)
+        if fitted != (cfg.lookback, cfg.horizon, ds.channels):
             raise ConfigError(
-                "backbone was fitted for "
-                f"(L={backbone.lookback}, H={backbone.horizon}), run asks for "
-                f"(L={cfg.lookback}, H={cfg.horizon})"
+                f"backbone was fitted for (L, H, d) = {fitted}, run asks for "
+                f"{(cfg.lookback, cfg.horizon, ds.channels)}"
             )
     else:
         backbone = bb.fit_linear_backbone(ds.part("train"), cfg.lookback, cfg.horizon, args.ridge)
     if args.normalize_backbone:
-        backbone = bb.NormalizationWrapper(backbone, enabled=True)
+        backbone = bb.NormalizationWrapper(backbone)
 
     decoder_params = None
     if need_decoder and cfg.solver.schedule().global_mix > 0:
         if args.decoder:
             decoder_params = _load_artifact(dec.load_params, args.decoder, "decoder")
+            trained = (decoder_params.horizon, decoder_params.context_size)
+            if trained != (cfg.horizon, cfg.solver.context_size):
+                raise ConfigError(
+                    f"decoder was trained for (H, context_size) = {trained}, run asks for "
+                    f"{(cfg.horizon, cfg.solver.context_size)}"
+                )
         else:
             decoder_params, _ = train_decoder_for(backbone, ds, cfg)
     return cfg, ds, backbone, decoder_params
@@ -282,7 +288,9 @@ def cmd_sparse_anchor(args) -> int:
 
 
 def _prefix_spec(spec: str) -> str:
-    RolloutConfig().set_prefix(spec)  # raises ConfigError unless 'fft' or an integer
+    cfg = RolloutConfig()
+    cfg.set_prefix(spec)  # raises ConfigError unless 'fft' or an integer
+    cfg.validate()  # and unless the integer is >= 0
     return spec
 
 
@@ -322,9 +330,7 @@ def cmd_bench(args) -> int:
         }
         for r in results
     ]
-    out = Path(args.out_dir) / "bench"
-    out.mkdir(parents=True, exist_ok=True)
-    write_rows(rows, out / "bench.csv")
+    write_rows(rows, _out_dir(args, "bench") / "bench.csv")
     print(json.dumps(rows, indent=2))
     return 0
 
@@ -425,10 +431,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except (ContractViolation, dec.GradientCheckError, dec.TrainingDivergedError) as exc:

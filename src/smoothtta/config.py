@@ -91,7 +91,7 @@ class RolloutConfig:
     lookback: int = 96
     horizon: int = 96
     stride: int | None = None        # None -> non-overlapping (stride = horizon)
-    prefix_mode: str = "fft"         # "fft" or a fixed length via prefix_length
+    prefix_mode: str = "fft"         # "fft" or a fixed prefix_length (0: zero-shot)
     prefix_length: int | None = None
     seed: int = 0
     standardize: bool = True         # z-score channels by train-split statistics
@@ -109,8 +109,10 @@ class RolloutConfig:
             raise ConfigError("stride must be >= 1")
         if self.prefix_mode not in ("fft", "fixed"):
             raise ConfigError(f"unknown prefix_mode {self.prefix_mode!r}")
-        if self.prefix_mode == "fixed" and not self.prefix_length:
-            raise ConfigError("prefix_mode=fixed requires prefix_length")
+        if self.prefix_mode == "fixed" and (self.prefix_length is None or self.prefix_length < 0):
+            raise ConfigError("prefix_mode=fixed requires prefix_length >= 0 (0: zero-shot)")
+        if self.max_windows is not None and self.max_windows < 1:
+            raise ConfigError("max_windows must be >= 1")
         if self.memory_schedule not in ("safe", "immediate"):
             raise ConfigError(f"unknown memory_schedule {self.memory_schedule!r}")
 
@@ -140,6 +142,7 @@ class RolloutConfig:
         return out
 
 
+_NULLABLE = ("stride", "prefix_length", "max_windows")  # int keys whose default is None
 _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
 
@@ -149,8 +152,6 @@ def _coerce(raw: str, target_type):
         if raw.lower() not in _BOOL_WORDS:
             raise ConfigError(f"expected a boolean, got {raw!r}")
         return _BOOL_WORDS[raw.lower()]
-    if raw.lower() in ("none", ""):
-        return None
     try:
         return target_type(raw)
     except ValueError as exc:
@@ -158,25 +159,22 @@ def _coerce(raw: str, target_type):
 
 
 def apply_overrides(config: RolloutConfig, pairs: dict[str, str]) -> RolloutConfig:
-    """Apply string key=value overrides onto a rollout config (in place)."""
-    solver_fields = {f.name: f for f in dataclasses.fields(SolverConfig)}
-    rollout_fields = {f.name: f for f in dataclasses.fields(RolloutConfig)}
+    """Apply string key=value overrides onto a rollout config (in place).
+
+    Each value parses as its key's current type; "none" or an empty value
+    resets one of the `_NULLABLE` keys, which otherwise parse as int.
+    """
+    solver_keys = {f.name for f in dataclasses.fields(SolverConfig)}
+    rollout_keys = {f.name for f in dataclasses.fields(RolloutConfig)} - {"solver"}
     for key, raw in pairs.items():
-        if key in solver_fields:
-            f = solver_fields[key]
-            base = f.type if isinstance(f.type, type) else type(getattr(config.solver, key))
-            setattr(config.solver, key, _coerce(raw, base))
-        elif key in rollout_fields and key != "solver":
-            current = getattr(config, key)
-            if key in ("stride", "prefix_length", "max_windows"):
-                base = int
-            elif current is None:
-                base = str
-            else:
-                base = type(current)
-            setattr(config, key, _coerce(raw, base))
-        else:
+        if key not in solver_keys | rollout_keys:
             raise ConfigError(f"unknown configuration key {key!r}")
+        target = config.solver if key in solver_keys else config
+        if key in _NULLABLE and raw.strip().lower() in ("none", ""):
+            setattr(target, key, None)
+        else:
+            kind = int if key in _NULLABLE else type(getattr(target, key))
+            setattr(target, key, _coerce(raw, kind))
     config.validate()
     return config
 

@@ -60,9 +60,7 @@ class Dataset:
         return self.values.shape[1]
 
     def part(self, which: str) -> np.ndarray:
-        if self.split is None:
-            raise DataError("dataset has no split boundaries yet")
-        lo, hi = self.split.ranges(self.length)[which]
+        lo, hi = self.range_of(which)
         return self.values[lo:hi]
 
     def range_of(self, which: str) -> tuple[int, int]:

@@ -487,7 +487,7 @@ def save_params(params: DecoderParams, path, channels: int | None = None) -> Non
         "channels": channels,
         "context_size": params.context_size,
         "hidden": params.hidden,
-        "output_scale": params.output_scale,
+        "output_scale": float(params.output_scale),
         "feature_layout": FEATURE_LAYOUT,
         "seed": params.seed,
     }
@@ -503,11 +503,13 @@ def load_params(path) -> DecoderParams:
             "feature layout mismatch: file has "
             f"{header.get('feature_layout')!r}, this build expects {FEATURE_LAYOUT!r}"
         )
+    if sorted(blocks) != sorted(_BLOCKS):
+        raise ValueError(f"decoder blocks {sorted(blocks)}, expected {sorted(_BLOCKS)}")
     return DecoderParams(
-        horizon=int(header["horizon"]),
-        context_size=int(header["context_size"]),
-        hidden=int(header["hidden"]),
-        output_scale=float(header["output_scale"]),
-        seed=int(header["seed"]),
+        horizon=paramio.header_number(header, "horizon"),
+        context_size=paramio.header_number(header, "context_size"),
+        hidden=paramio.header_number(header, "hidden"),
+        output_scale=paramio.header_number(header, "output_scale", float),
+        seed=paramio.header_number(header, "seed"),
         **blocks,
     )

@@ -52,22 +52,6 @@ def extract_fast_error(prefix_error: np.ndarray) -> np.ndarray:
     return R - basis @ coef
 
 
-def propagate_fast_error(op: TransferOperator, fast_error: np.ndarray) -> np.ndarray:
-    """Extend the fast prefix error across the horizon: P[:, :a] @ R_fast."""
-    R = np.asarray(fast_error, dtype=float)
-    a = R.shape[0]
-    if a > op.horizon:
-        raise ValueError(f"prefix length {a} exceeds operator horizon {op.horizon}")
-    return op.prefix_columns(a) @ R
-
-
-def bias_field(prefix_error: np.ndarray, horizon: int) -> np.ndarray:
-    """Rank-one field repeating the prefix-mean error down the horizon."""
-    R = np.asarray(prefix_error, dtype=float)
-    mu = R.mean(axis=0)
-    return np.tile(mu, (horizon, 1))
-
-
 class InvalidRidgeError(ValueError):
     """Ridge coefficient must be strictly positive (keeps the 2x2 solve regular)."""
 

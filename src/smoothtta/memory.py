@@ -10,12 +10,12 @@ well-defined snapshot.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+import logging
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-SNAPSHOT_VERSION = 1
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -91,11 +91,13 @@ def update_memory(state: MemoryState, batch_residuals: list[np.ndarray]) -> Memo
     """Fold a batch of completed-window residuals into the memory.
 
     template <- decay * template + (1 - decay) * batch_mean; the ring gets
-    one (mean, mean_abs) summary per window in the batch. An empty batch is
-    a warned no-op that does not advance the version counter. Caller is
-    responsible for only passing residuals of fully revealed windows.
+    one (mean, mean_abs) summary per window in the batch. An empty batch
+    logs a warning, counts it in `empty_batch_warnings` and does not advance
+    the version counter. Caller is responsible for only passing residuals of
+    fully revealed windows.
     """
     if len(batch_residuals) == 0:
+        logger.warning("empty memory batch: nothing folded, version stays %d", state.updates)
         return replace(state, empty_batch_warnings=state.empty_batch_warnings + 1)
     residuals = [np.asarray(r, dtype=float) for r in batch_residuals]
     shape = (state.horizon, state.channels)
@@ -122,38 +124,3 @@ def context_vector(state: MemoryState) -> np.ndarray:
     """
     ring = np.array(state.context_ring[-state.context_size:], dtype=float).reshape(-1, 2)
     return context_rows(ring, [len(ring)], state.context_size)[0]
-
-
-def save_snapshot(state: MemoryState, path) -> None:
-    """Serialize to a versioned JSON snapshot (floats round-trip bit-exactly)."""
-    payload = {
-        "version": SNAPSHOT_VERSION,
-        "horizon": state.horizon,
-        "channels": state.channels,
-        "context_size": state.context_size,
-        "decay": state.decay,
-        "updates": state.updates,
-        "empty_batch_warnings": state.empty_batch_warnings,
-        "context_ring": [list(entry) for entry in state.context_ring],
-        "template": state.template.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def load_snapshot(path) -> MemoryState:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("version") != SNAPSHOT_VERSION:
-        raise ValueError(f"unsupported memory snapshot version {payload.get('version')}")
-    template = np.array(payload["template"], dtype=float)
-    if template.shape != (payload["horizon"], payload["channels"]):
-        raise ValueError("snapshot template shape does not match its header")
-    return MemoryState(
-        template=template,
-        context_ring=tuple((float(m), float(ma)) for m, ma in payload["context_ring"]),
-        updates=int(payload["updates"]),
-        decay=float(payload["decay"]),
-        context_size=int(payload["context_size"]),
-        empty_batch_warnings=int(payload["empty_batch_warnings"]),
-    )

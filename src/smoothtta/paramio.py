@@ -8,6 +8,7 @@ row-major float64 blocks. Round-trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -35,19 +36,52 @@ def save_blocks(path, header: dict, blocks: dict[str, np.ndarray]) -> None:
 
 
 def load_blocks(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header and named blocks of a container file.
+
+    Raises ValueError when the file is not a container of this version, its
+    header or block manifest is malformed, or its payload is not exactly the
+    bytes the manifest declares.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise ValueError(f"not a parameter container (bad magic {magic!r})")
-        head_len = int.from_bytes(fh.read(8), "little")
-        head = json.loads(fh.read(head_len).decode("utf-8"))
-        if head.get("_format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported container version {head.get('_format_version')}")
-        blocks = {}
-        for entry in head.pop("_blocks"):
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(count * 8), dtype=np.float64, count=count)
-            blocks[entry["name"]] = data.reshape(shape).copy()
-        head.pop("_format_version", None)
+        raw = fh.read()
+    if raw[:4] != MAGIC:
+        raise ValueError(f"not a parameter container (bad magic {raw[:4]!r})")
+    offset = 12 + int.from_bytes(raw[4:12], "little")
+    head = json.loads(raw[12:offset].decode("utf-8"))
+    if not isinstance(head, dict):
+        raise ValueError(f"header is a JSON {type(head).__name__}, not an object")
+    version = head.pop("_format_version", None)
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported container version {version}")
+    manifest = head.pop("_blocks", None)
+    if not (isinstance(manifest, list) and all(map(_is_entry, manifest))):
+        raise ValueError(f"malformed block manifest {manifest!r:.60}")
+    counts = [math.prod(entry["shape"]) for entry in manifest]
+    if offset + 8 * sum(counts) != len(raw):
+        raise ValueError(
+            f"payload has {len(raw) - offset} bytes, the manifest declares {8 * sum(counts)}"
+        )
+    blocks = {}
+    for entry, count in zip(manifest, counts):
+        data = np.frombuffer(raw, dtype=np.float64, count=count, offset=offset)
+        blocks[entry["name"]] = data.reshape(entry["shape"]).copy()
+        offset += 8 * count
     return head, blocks
+
+
+def _is_entry(entry) -> bool:
+    """A manifest entry: a string name and a list of nonnegative integer dimensions."""
+    return (
+        isinstance(entry, dict)
+        and isinstance(entry.get("name"), str)
+        and isinstance(entry.get("shape"), list)
+        and all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in entry["shape"])
+    )
+
+
+def header_number(header: dict, key: str, kind: type = int):
+    """`header[key]`; ValueError unless it is a finite `kind` (int or float, never a bool)."""
+    value = header.get(key)
+    if isinstance(value, kind) and not isinstance(value, bool) and abs(value) < math.inf:
+        return value
+    raise ValueError(f"header field {key!r} is {value!r:.60}, expected a finite {kind.__name__}")

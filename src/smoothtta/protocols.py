@@ -110,6 +110,7 @@ def run_sparse_boundary(
 ) -> EvalReport:
     """Reveal only the first k future points; report near/far-field metrics.
 
+    Runs a copy of `config` with the prefix fixed to k (0 is zero-shot).
     Step ranges are 1-indexed inclusive, matching the reporting convention
     (near 4:27, far 73:96 for a 96-step horizon).
     """
@@ -119,14 +120,9 @@ def run_sparse_boundary(
         "near": slice(near_steps[0] - 1, near_steps[1]),
         "far": slice(far_steps[0] - 1, far_steps[1]),
     }
-    return rollout(
-        backbone,
-        dataset,
-        config,
-        decoder_params,
-        prefix_override=k,
-        extra_slices=slices,
-    )
+    cfg = copy.deepcopy(config)
+    cfg.set_prefix(k)
+    return rollout(backbone, dataset, cfg, decoder_params, extra_slices=slices)
 
 
 def anchor_count(ratio: float, support: int = 36) -> int:

@@ -90,16 +90,14 @@ class EvalReport:
         return aggregate_rows(self.rows, skip=skip)
 
     def summary(self) -> dict:
-        agg = self.aggregate()
-        out = {
+        return {
             "dataset": self.dataset,
             "backbone": self.backbone,
             "n_windows": self.n_windows,
             "n_flagged": self.n_flagged,
-            **agg,
+            **self.aggregate(),
             **self.extra,
         }
-        return out
 
     def summary_row(self, keys=("mse_base", "mse_corrected", "improvement"), **lead) -> dict:
         """One summary-CSV row: the `lead` columns, then the named aggregates."""
@@ -241,7 +239,7 @@ class _Chunk:
     contexts: np.ndarray    # (n, 2K) memory context
 
 
-def _boundaries(X, forecasts, residuals, windows, config: RolloutConfig, prefix_override=None,
+def _boundaries(X, forecasts, residuals, windows, config: RolloutConfig,
                 contamination_ratio=0.0, contamination_sigma=None, anchors=None):
     """(lengths, masks, padded errors) of a chunk's unflagged windows."""
     s = config.solver
@@ -257,10 +255,7 @@ def _boundaries(X, forecasts, residuals, windows, config: RolloutConfig, prefix_
             masks[row, rng.choice(support, size=count, replace=False)] = 1.0
         return np.full(n, support), masks, np.where(masks[..., None] > 0, residuals, 0.0)
 
-    if prefix_override is not None:
-        period = prefix_override if prefix_override > 0 else floor
-        lengths = np.full(n, select_prefix_length(period, prefix_override, H, floor))
-    elif config.prefix_mode == "fixed":
+    if config.prefix_mode == "fixed":
         p = config.prefix_length
         lengths = np.full(n, select_prefix_length(p, p, H, floor))
     else:  # the delayed-revelation budget equals the period estimate
@@ -351,7 +346,6 @@ def rollout(
     config: RolloutConfig,
     decoder_params: DecoderParams | None = None,
     part: str = "test",
-    prefix_override: int | None = None,
     contamination_ratio: float = 0.0,
     contamination_sigma: np.ndarray | None = None,
     anchors: tuple[int, int] | None = None,
@@ -360,12 +354,11 @@ def rollout(
 ) -> EvalReport:
     """Correct every window of a split and collect per-window metrics.
 
-    Protocol hooks: `prefix_override` forces the revealed budget,
-    `contamination_ratio` corrupts the visible prefix at +-6 sigma,
-    `anchors=(support, count)` switches to sparse-anchor boundaries,
-    `headline_slice` restricts the headline metrics to a step range and
-    `extra_slices` adds named step-range metrics (near/far fields).
-    All metrics are computed against clean targets.
+    Protocol hooks: `contamination_ratio` corrupts the visible prefix at
+    +-6 sigma, `anchors=(support, count)` switches to sparse-anchor
+    boundaries, `headline_slice` restricts the headline metrics to a step
+    range and `extra_slices` adds named step-range metrics (near/far
+    fields). All metrics are computed against clean targets.
     """
     config.validate()
     s = config.solver
@@ -381,8 +374,7 @@ def rollout(
     rows: list[dict] = []
     t0 = time.perf_counter()
     for c in _execute(plan, backbone, dataset, config, use_local=not s.global_only,
-                      use_memory=not s.no_memory, prefix_override=prefix_override,
-                      contamination_ratio=contamination_ratio, contamination_sigma=sigma,
+                      use_memory=not s.no_memory, contamination_ratio=contamination_ratio, contamination_sigma=sigma,
                       anchors=anchors):
         delta = np.zeros_like(c.forecasts)
         if c.lengths.any():  # an empty boundary keeps the zero-shot forecast

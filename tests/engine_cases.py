@@ -85,14 +85,16 @@ def cases():
     ds, bb = fx.dataset, fx.backbone
     sigma = ds.train_std()
     slices = {"near": slice(3, 8), "far": slice(10, 16)}
-    norm = NormalizationWrapper(linear, enabled=True)
+    norm = NormalizationWrapper(linear)
     out = [
         ("fft", lambda: _rows(rollout(bb, ds, fx.config, params))),
         ("fixed5", lambda: _rows(rollout(
             bb, ds, _cfg(fx, prefix_mode="fixed", prefix_length=5), params))),
-        ("override0", lambda: _rows(rollout(bb, ds, fx.config, params, prefix_override=0))),
+        ("override0", lambda: _rows(rollout(
+            bb, ds, _cfg(fx, prefix_mode="fixed", prefix_length=0), params))),
         ("override3_slices", lambda: _rows(rollout(
-            bb, ds, fx.config, params, prefix_override=3, extra_slices=slices))),
+            bb, ds, _cfg(fx, prefix_mode="fixed", prefix_length=3), params,
+            extra_slices=slices))),
         ("contaminate", lambda: _rows(rollout(
             bb, ds, fx.config, params, contamination_ratio=0.2, contamination_sigma=sigma))),
         ("anchors0", lambda: _rows(rollout(

@@ -18,19 +18,14 @@ import pytest
 
 from smoothtta.backbones import fit_linear_backbone
 from smoothtta.boundary import build_boundary
-from smoothtta.chain import (
-    TemporalChain,
-    build_transfer_operator,
-    chain_laplacian,
-    difference_matrix,
-    harmonic_extension,
-)
+from smoothtta.chain import build_transfer_operator, difference_matrix
 from smoothtta.config import RolloutConfig
 from smoothtta.data import load_csv, split_dataset
 from smoothtta.decoder import DecoderParams, _loss_and_grads, gradient_check, init_params
 from smoothtta.fusion import FusionSchedule, fuse, normalized_shares
 from smoothtta.memory import cold_start, update_memory
 from smoothtta.protocols import run_contamination_grid, run_sparse_boundary, variant_config
+from smoothtta.reference import TemporalChain, chain_laplacian, harmonic_extension
 from smoothtta.rollout import aggregate_rows, rollout, train_decoder_for
 from smoothtta.synth import biased_oracle_fixture
 

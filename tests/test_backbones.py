@@ -6,9 +6,7 @@ import pytest
 from smoothtta.backbones import (
     BiasedOracleForecaster,
     FitError,
-    NaiveLastForecaster,
     NormalizationWrapper,
-    SeasonalNaiveForecaster,
     fit_linear_backbone,
     load_backbone,
     save_backbone,
@@ -62,18 +60,6 @@ def test_linear_backbone_params_frozen_and_digest_stable():
     assert fc.param_digest() == digest
 
 
-def test_naive_last_repeats_final_row():
-    fc = NaiveLastForecaster(lookback=4, horizon=3, channels=2)
-    X = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 2.0]])
-    assert np.allclose(fc.predict(X), np.tile([1.0, 2.0], (3, 1)))
-
-
-def test_seasonal_naive_repeats_last_period():
-    fc = SeasonalNaiveForecaster(lookback=6, horizon=5, channels=1, period=3)
-    X = np.arange(6.0)[:, None]
-    assert np.allclose(fc.predict(X).ravel(), [3, 4, 5, 3, 4])
-
-
 def test_oracle_with_bias_residual_is_minus_bias():
     rng = np.random.default_rng(3)
     series = rng.standard_normal((50, 2))
@@ -90,20 +76,11 @@ def test_oracle_requires_start_index():
         fc.predict(np.zeros((4, 1)))
 
 
-def test_normalization_wrapper_disabled_is_identity():
-    rng = np.random.default_rng(4)
-    series = rng.standard_normal((300, 2))
-    inner = fit_linear_backbone(series, lookback=8, horizon=4)
-    wrapped = NormalizationWrapper(inner, enabled=False)
-    X = series[:8]
-    assert np.array_equal(wrapped.predict(X), inner.predict(X))
-
-
 def test_normalization_wrapper_affine_equivariance():
     rng = np.random.default_rng(5)
     series = rng.standard_normal((400, 2))
     inner = fit_linear_backbone(series, lookback=8, horizon=4)
-    wrapped = NormalizationWrapper(inner, enabled=True)
+    wrapped = NormalizationWrapper(inner)
     X = rng.standard_normal((8, 2))
     base = wrapped.predict(X)
     scaled = X.copy()
@@ -127,7 +104,7 @@ def test_normalization_round_trip_on_lookback_statistics():
         def param_digest(self):
             return "echo"
 
-    wrapped = NormalizationWrapper(Echo(), enabled=True)
+    wrapped = NormalizationWrapper(Echo())
     assert np.abs(wrapped.predict(X) - X).max() < 1e-10
 
 
@@ -143,7 +120,7 @@ def test_normalization_handles_flat_channel():
             return "echo"
 
     X = np.full((6, 1), 4.0)
-    out = NormalizationWrapper(Echo(), enabled=True).predict(X)
+    out = NormalizationWrapper(Echo()).predict(X)
     assert np.all(np.isfinite(out))
     assert np.allclose(out, 4.0)
 
@@ -170,7 +147,7 @@ def test_batched_prediction_matches_per_window_formulas():
             [X[i, :, c] @ inner.weights[c] + inner.intercepts[c] for c in range(3)]
         )
         assert np.allclose(batch[i], ref, rtol=1e-12, atol=1e-14)
-    wrapped = NormalizationWrapper(inner, enabled=True)
+    wrapped = NormalizationWrapper(inner)
     normed = wrapped.predict_batch(X, [None] * 6)
     for i in range(6):
         mu, sd = X[i].mean(axis=0), np.maximum(X[i].std(axis=0), wrapped.STD_FLOOR)

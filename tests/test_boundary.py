@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from smoothtta.boundary import (
     InvalidRatioError,
-    anchor_boundary,
     OUTLIER_MAGNITUDE,
     build_boundary,
     contaminate_errors,
@@ -159,19 +158,6 @@ def test_contaminate_rejects_bad_ratio():
     b = empty_boundary(4, 1)
     with pytest.raises(InvalidRatioError):
         contaminate_prefix(b, np.zeros((4, 1)), 1.5, np.ones(1), rng_seed=0)
-
-
-def test_anchor_boundary_zero_residual_outside_anchors():
-    rng = np.random.default_rng(8)
-    forecast = rng.standard_normal((96, 2))
-    observed = forecast[:36] + 1.0  # residual 1.0 wherever observed
-    b = anchor_boundary(observed, forecast, 36, np.array([4, 17]))
-    assert b.length == 36
-    assert np.allclose(b.prefix_error[[4, 17]], 1.0)
-    untouched = np.delete(np.arange(36), [4, 17])
-    assert np.allclose(b.prefix_error[untouched], 0.0)
-    assert b.mask.sum() == 2
-    assert np.array_equal(np.flatnonzero(b.mask), [4, 17])
 
 
 @settings(max_examples=60, deadline=None)

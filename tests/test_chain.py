@@ -4,14 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothtta.chain import (
-    EmptyBoundaryError,
     InvalidHorizonError,
     InvalidRegularizerError,
-    TemporalChain,
     build_transfer_operator,
-    chain_laplacian,
     clear_operator_cache,
     difference_matrix,
+)
+from smoothtta.reference import (
+    EmptyBoundaryError,
+    TemporalChain,
+    chain_laplacian,
     dirichlet_energy,
     harmonic_extension,
 )

@@ -6,10 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smoothtta
 import smoothtta.decoder as dec
-from smoothtta import cli
+from smoothtta import cli, paramio
 
 BASE = [sys.executable, "-m", "smoothtta"]
 
@@ -489,3 +491,175 @@ print(sorted(name for name in sys.modules if name.startswith("scipy")))
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "[]"
+
+
+def _in_process(workdir, command, *extra, out="run_in_process"):
+    """`command` through `cli.main` on toy.csv with the saved backbone and decoder."""
+    return cli.main(
+        [command, "--data", str(workdir / "toy.csv"), *COMMON,
+         "--backbone", str(workdir / "backbone.params"),
+         "--decoder", str(workdir / "decoder.params"),
+         "--out-dir", str(workdir / out), *extra]
+    )
+
+
+@pytest.mark.parametrize(
+    "command, extra, message",
+    [
+        ("rollout", ["--prefix=-3"], "prefix_length >= 0"),
+        ("sweep", ["--parameter", "prefix", "--grid=-2,3"], "prefix_length >= 0"),
+        ("rollout", ["--max-windows", "-1"], "max_windows must be >= 1"),
+        ("rollout", ["--max-windows", "0"], "max_windows must be >= 1"),
+    ],
+)
+def test_negative_prefix_and_window_cap_below_one_exit_2(workdir, capsys, command, extra, message):
+    assert _in_process(workdir, command, *extra, out="run_rejected") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+    assert not (workdir / "run_rejected").exists()
+
+
+def test_prefix_zero_is_a_zero_shot_run(workdir):
+    assert _in_process(workdir, "rollout", "--prefix", "0", out="run_prefix0") == 0
+    lines = (workdir / "run_prefix0/rollout/metrics.csv").read_text().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert rows and all(row["prefix_length"] == "0" for row in rows)
+    assert all(row["mse_corrected"] == row["mse_base"] for row in rows)
+
+
+def test_sparse_boundary_manifest_records_the_fixed_prefix(workdir):
+    extra = ["--k", "2", "--near", "2:4", "--far", "6:8"]
+    assert _in_process(workdir, "sparse-boundary", *extra, out="run_sb_manifest") == 0
+    manifest = json.loads((workdir / "run_sb_manifest/sparse-boundary/manifest.json").read_text())
+    assert manifest["config"]["prefix_mode"] == "fixed"
+    assert manifest["config"]["prefix_length"] == 2
+
+
+def _container(path, head, payload: bytes) -> None:
+    """A parameter file with the right magic around an arbitrary JSON header."""
+    head_bytes = json.dumps(head).encode("utf-8")
+    path.write_bytes(paramio.MAGIC + len(head_bytes).to_bytes(8, "little") + head_bytes + payload)
+
+
+def _split_container(path) -> tuple[dict, bytes]:
+    raw = path.read_bytes()
+    end = 12 + int.from_bytes(raw[4:12], "little")
+    return json.loads(raw[12:end]), raw[end:]
+
+
+def _backbone_header_case(workdir, case):
+    head, payload = _split_container(workdir / "backbone.params")
+    if case == "list":
+        head = list(head)
+    elif case == "no_blocks":
+        del head["_blocks"]
+    elif case == "no_lookback":
+        del head["lookback"]
+    elif case == "block_without_shape":
+        del head["_blocks"][0]["shape"]
+    elif case == "lookback_disagrees_with_weights":
+        head["lookback"] = 12  # the weight block still holds (2, 16, 8)
+    path = workdir / f"backbone_{case}.params"
+    _container(path, head, payload)
+    return path
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["list", "no_blocks", "no_lookback", "block_without_shape", "lookback_disagrees_with_weights"],
+)
+def test_a_malformed_backbone_file_exits_2(workdir, capsys, case):
+    path = _backbone_header_case(workdir, case)
+    argv = ["rollout", "--data", str(workdir / "toy.csv"), *COMMON, "--backbone", str(path),
+            "--decoder", str(workdir / "decoder.params"), "--out-dir", str(workdir / "run_bad")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("configuration error: bad backbone file")
+
+
+def test_a_backbone_fitted_on_other_channels_exits_2(workdir, capsys):
+    _make_csv(workdir / "toy3.csv", d=3)
+    argv = ["rollout", "--data", str(workdir / "toy3.csv"), *COMMON,
+            "--backbone", str(workdir / "backbone.params"),
+            "--decoder", str(workdir / "decoder.params"), "--out-dir", str(workdir / "run_d3")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: backbone was fitted for (L, H, d) = (16, 8, 2)")
+
+
+@pytest.mark.parametrize(
+    "extra, asked",
+    [(["--horizon", "12"], "(12, 8)"), (["--set", "context_size=4"], "(8, 4)")],
+)
+def test_a_decoder_trained_for_another_run_exits_2(workdir, monkeypatch, capsys, extra, asked):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("trained a decoder although one was given")
+
+    monkeypatch.setattr(cli, "train_decoder_for", must_not_run)
+    argv = ["rollout", "--data", str(workdir / "toy.csv"), *COMMON, *extra,
+            "--decoder", str(workdir / "decoder.params"), "--out-dir", str(workdir / "run_dec")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: decoder was trained for (H, context_size) = (8, 8)")
+    assert err.rstrip().endswith(asked)
+
+
+# JSON values of every type, nested a little, for fuzzed headers
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+# values no header field accepts: not a finite number, an integer or the expected string
+_ILL_TYPED = (
+    st.none() | st.booleans() | st.text(max_size=6) | st.lists(st.integers(), max_size=2)
+    | st.sampled_from([float("nan"), float("inf"), -float("inf")])
+)
+_REQUIRED = {
+    "backbone": ("_blocks", "_format_version", "kind", "lookback", "horizon", "channels"),
+    "decoder": ("_blocks", "_format_version", "kind", "horizon", "context_size", "hidden",
+                "output_scale", "seed", "feature_layout"),
+}
+
+
+@st.composite
+def _fuzzed_container(draw, head: dict, payload: bytes, required) -> bytes:
+    """The bytes of a parameter file that one fuzzed change has made invalid."""
+    head = json.loads(json.dumps(head))
+    change = draw(st.sampled_from(["replace", "drop", "retype", "shape", "truncate"]))
+    if change == "replace":
+        head = draw(_JSON)
+    elif change == "drop":
+        del head[draw(st.sampled_from(required))]
+    elif change == "retype":
+        key = draw(st.sampled_from(required))
+        head[key] = draw(_ILL_TYPED.filter(lambda v: v != head[key]))
+    elif change == "shape":
+        entry = draw(st.sampled_from(head["_blocks"]))
+        shapes = st.lists(st.integers(-2, 40), max_size=3) | _ILL_TYPED
+        entry["shape"] = draw(shapes.filter(lambda s: s != entry["shape"]))
+    head_bytes = json.dumps(head).encode("utf-8")
+    raw = paramio.MAGIC + len(head_bytes).to_bytes(8, "little") + head_bytes + payload
+    if change == "truncate":
+        raw = raw[: draw(st.integers(4, len(raw) - 1))]
+    return raw
+
+
+@pytest.mark.parametrize("artifact", ["backbone", "decoder"])
+def test_a_fuzzed_parameter_file_exits_2_or_3(workdir, capsys, artifact):
+    head, payload = _split_container(workdir / f"{artifact}.params")
+    path = workdir / f"fuzzed_{artifact}.params"
+    given_files = {"backbone": workdir / "backbone.params", "decoder": workdir / "decoder.params"}
+    given_files[artifact] = path
+
+    @settings(max_examples=40, deadline=None)
+    @given(raw=_fuzzed_container(head, payload, _REQUIRED[artifact]))
+    def property_(raw):
+        path.write_bytes(raw)
+        argv = ["rollout", "--data", str(workdir / "toy.csv"), *COMMON,
+                "--backbone", str(given_files["backbone"]),
+                "--decoder", str(given_files["decoder"]), "--out-dir", str(workdir / "run_fuzz")]
+        assert cli.main(argv) in (2, 3)
+        capsys.readouterr()
+
+    property_()
+    assert not (workdir / "run_fuzz").exists()

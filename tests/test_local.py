@@ -4,12 +4,11 @@ import pytest
 from smoothtta.chain import build_transfer_operator
 from smoothtta.local import (
     InvalidRidgeError,
-    bias_field,
     extract_fast_error,
     fit_bounded_response,
-    propagate_fast_error,
     solve_local,
 )
+from smoothtta.reference import bias_field, propagate_fast_error
 
 
 def _polyfit_oracle(values):

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,6 @@ from smoothtta.memory import (
     MemoryState,
     cold_start,
     context_vector,
-    load_snapshot,
-    save_snapshot,
     update_memory,
 )
 
@@ -57,6 +57,20 @@ def test_empty_batch_is_warned_noop():
     assert out.updates == 0
     assert out.empty_batch_warnings == 1
     assert np.array_equal(out.template, state.template)
+
+
+def test_empty_batch_logs_one_warning(caplog):
+    state = update_memory(cold_start(3, 1), [np.ones((3, 1))])
+    with caplog.at_level(logging.WARNING, logger="smoothtta.memory"):
+        out = update_memory(state, [])
+    records = [r for r in caplog.records if r.name == "smoothtta.memory"]
+    assert [r.levelno for r in records] == [logging.WARNING]
+    assert "empty memory batch" in records[0].getMessage()
+    assert "version stays 1" in records[0].getMessage()
+    assert out.empty_batch_warnings == 1
+    caplog.clear()
+    update_memory(state, [np.ones((3, 1))])  # a non-empty batch logs nothing
+    assert not [r for r in caplog.records if r.name == "smoothtta.memory"]
 
 
 def test_shape_mismatch_rejected():
@@ -111,27 +125,3 @@ def test_context_vector_mean_and_mean_abs():
     z = context_vector(state)
     assert z[-2] == pytest.approx(0.0)
     assert z[-1] == pytest.approx(0.4)
-
-
-def test_snapshot_round_trip_bit_exact(tmp_path):
-    rng = np.random.default_rng(1)
-    state = cold_start(5, 3, decay=0.37, context_size=4)
-    for _ in range(6):
-        state = update_memory(state, [rng.standard_normal((5, 3))])
-    path = tmp_path / "memory.json"
-    save_snapshot(state, path)
-    loaded = load_snapshot(path)
-    assert np.array_equal(loaded.template, state.template)
-    assert loaded.context_ring == state.context_ring
-    assert loaded.updates == state.updates
-    assert loaded.decay == state.decay
-    assert loaded.context_size == state.context_size
-
-
-def test_snapshot_rejects_unknown_version(tmp_path):
-    path = tmp_path / "memory.json"
-    save_snapshot(cold_start(2, 1), path)
-    payload = path.read_text().replace('"version": 1', '"version": 99')
-    path.write_text(payload)
-    with pytest.raises(ValueError):
-        load_snapshot(path)

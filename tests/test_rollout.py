@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from smoothtta.backbones import BiasedOracleForecaster
-from smoothtta.config import RolloutConfig, SolverConfig
+from smoothtta.config import ConfigError, RolloutConfig, SolverConfig, apply_overrides
 from smoothtta.decoder import DecoderParams, init_params
 from smoothtta.fusion import fuse
 from smoothtta.rollout import (
@@ -184,7 +184,9 @@ def test_rollout_hashes_the_decoder_once(small_fixture, monkeypatch):
 
 def test_zero_prefix_override_reduces_to_zero_shot(small_fixture):
     fx = small_fixture
-    report = rollout(fx.backbone, fx.dataset, fx.config, None, prefix_override=0)
+    cfg = copy.deepcopy(fx.config)
+    cfg.set_prefix(0)
+    report = rollout(fx.backbone, fx.dataset, cfg, None)
     for row in report.rows:
         assert row["prefix_length"] == 0
         assert row["mse_corrected"] == row["mse_base"]
@@ -197,6 +199,34 @@ def test_fixed_prefix_mode(small_fixture):
     cfg.prefix_length = 5
     report = rollout(fx.backbone, fx.dataset, cfg, None)
     assert all(row["prefix_length"] == 5 for row in report.rows)
+
+
+def test_fixed_prefix_accepts_zero_and_rejects_none_or_negative():
+    RolloutConfig(prefix_mode="fixed", prefix_length=0).validate()
+    for length in (None, -1):
+        with pytest.raises(ConfigError, match="prefix_length >= 0"):
+            RolloutConfig(prefix_mode="fixed", prefix_length=length).validate()
+    RolloutConfig(prefix_length=-1).validate()  # an fft run ignores prefix_length
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_window_cap_below_one_is_rejected(cap):
+    with pytest.raises(ConfigError, match="max_windows"):
+        RolloutConfig(max_windows=cap).validate()
+
+
+@pytest.mark.parametrize("pair", ["lookback=none", "horizon=", "ramp_midpoint=", "seed=none"])
+def test_none_is_no_value_for_a_key_that_is_never_none(pair):
+    key, raw = pair.split("=")
+    with pytest.raises(ConfigError, match="cannot parse"):
+        apply_overrides(RolloutConfig(), {key: raw})
+
+
+def test_none_resets_a_nullable_key():
+    cfg = RolloutConfig(stride=4, max_windows=3)
+    apply_overrides(cfg, {"stride": "none", "max_windows": ""})
+    assert cfg.stride is None and cfg.max_windows is None
+    assert apply_overrides(RolloutConfig(), {"prefix_length": "5"}).prefix_length == 5
 
 
 def test_training_set_shapes(small_fixture):
@@ -285,7 +315,7 @@ def test_correction_gain_persists_under_both_normalization_modes():
 
     improvements = {}
     for enabled in (False, True):
-        backbone = NormalizationWrapper(inner, enabled=enabled)
+        backbone = NormalizationWrapper(inner) if enabled else inner
         params, _ = train_decoder_for(backbone, ds, config)
         improvements[enabled] = rollout(backbone, ds, config, params).aggregate()[
             "improvement"
