@@ -336,12 +336,20 @@ def cmd_bench(args) -> int:
 
 
 def cmd_dump_schedule(args) -> int:
-    schedule = FusionSchedule(
-        global_mix=args.global_mix,
-        ramp_sharpness=args.ramp_sharpness,
-        ramp_midpoint=args.ramp_midpoint,
-        correction_clip=args.clip,
-    )
+    if args.horizon < 1:
+        raise ConfigError(f"--horizon must be >= 1, got {args.horizon}")
+    fields = {  # FusionSchedule field -> (flag, value)
+        "global_mix": ("--global-mix", args.global_mix),
+        "ramp_sharpness": ("--ramp-sharpness", args.ramp_sharpness),
+        "ramp_midpoint": ("--ramp-midpoint", args.ramp_midpoint),
+        "correction_clip": ("--clip", args.clip),
+    }
+    for name, (flag, value) in fields.items():
+        try:
+            FusionSchedule(**{name: value})  # checks this one value
+        except ValueError as exc:
+            raise ConfigError(f"{flag}: {exc}") from None
+    schedule = FusionSchedule(**{name: value for name, (_, value) in fields.items()})
     rows = schedule_table(schedule, args.horizon)
     write_rows(rows, Path(args.out))
     print(

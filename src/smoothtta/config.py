@@ -109,7 +109,9 @@ class RolloutConfig:
             raise ConfigError("stride must be >= 1")
         if self.prefix_mode not in ("fft", "fixed"):
             raise ConfigError(f"unknown prefix_mode {self.prefix_mode!r}")
-        if self.prefix_mode == "fixed" and (self.prefix_length is None or self.prefix_length < 0):
+        if self.prefix_length is not None and self.prefix_length < 0:
+            raise ConfigError(f"prefix_length >= 0 required, got {self.prefix_length}")
+        if self.prefix_mode == "fixed" and self.prefix_length is None:
             raise ConfigError("prefix_mode=fixed requires prefix_length >= 0 (0: zero-shot)")
         if self.max_windows is not None and self.max_windows < 1:
             raise ConfigError("max_windows must be >= 1")

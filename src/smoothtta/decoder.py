@@ -7,9 +7,13 @@ Weights are shared across channels, trained offline against the fused
 correction target, and frozen during rollout. Backpropagation is written out
 by hand and guarded by a central finite-difference gradient check.
 
-Training multiplies the dense `build_features` rows. Inference (`decode_batch`)
-skips their zero padded-error and mask columns past the last observed step, and
-multiplies the mask and context blocks once per window, not once per channel.
+Training multiplies the dense `build_features` rows in its forward pass and
+for the W1 gradient, so those products round as a dense network's do. AdamW
+then carries moments only for the W1 columns with a nonzero feature in some
+training row; the other columns get an exactly-zero gradient and only decay.
+Inference (`decode_batch`) skips the zero padded-error and mask columns past
+the last observed step, and multiplies the mask and context blocks once per
+window, not once per channel.
 """
 
 from __future__ import annotations
@@ -162,6 +166,16 @@ def build_features(
     mask_block = np.broadcast_to(mask[..., None, :], mask.shape[:-1] + (d, mask.shape[-1]))
     z_block = np.broadcast_to(context[..., None, :], context.shape[:-1] + (d, context.shape[-1]))
     return np.concatenate([f, loc, err, mask_block, mem, z_block], axis=-1)
+
+
+def feature_blocks(horizon: int, context_size: int) -> dict[str, slice]:
+    """Column slices of a `build_features` row, by FEATURE_LAYOUT block."""
+    names = FEATURE_LAYOUT.split(":")[0].split("|")
+    blocks, lo = {}, 0
+    for name, width in zip(names, 5 * [horizon] + [2 * context_size]):
+        blocks[name] = slice(lo, lo + width)
+        lo += width
+    return blocks
 
 
 def _forward(params: DecoderParams, features: np.ndarray):
@@ -364,6 +378,19 @@ class TrainConfig:
     check_tolerance: float = 1e-4
 
 
+def _packed_runs(mask: np.ndarray) -> list[tuple[slice, slice]]:
+    """A (dense, packed) slice pair per maximal run of True entries of `mask`.
+
+    `dense` spans the run; `packed` is where the run sits once the True
+    entries are placed side by side."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False)).tolist()
+    pairs, width = [], 0
+    for lo, hi in zip(edges[::2], edges[1::2]):
+        pairs.append((slice(lo, hi), slice(width, width + hi - lo)))
+        width += hi - lo
+    return pairs
+
+
 def train_decoder(
     params: DecoderParams,
     features: np.ndarray,
@@ -381,7 +408,18 @@ def train_decoder(
     A finite-difference gradient check on random samples gates the run; see
     `gradient_check` for how its perturbed losses are evaluated. The
     optimizer updates the weights and its moments in place and builds the
-    frozen `DecoderParams` once, after the last step. Logs one INFO event on
+    frozen `DecoderParams` once, after the last step.
+
+    AdamW's moments and arithmetic cover only the "used" W1 columns, those
+    with a nonzero feature in some row, packed side by side. Each other
+    column's gradient is +-0 at every step, so its update is the weight
+    decay alone, in the same operations the full update would apply. The
+    forward pass and the W1 gradient stay dense products: a product over the
+    used columns alone lets the BLAS split its reductions at other points and
+    changes the last bits. The gradient norm also sums the dense W1 layout,
+    since pairwise summation without the zeros rounds differently and would
+    move the clip scale. The trained weights and loss trace are therefore
+    bit-identical to a dense AdamW's. Logs one INFO event on
     this module's logger with the gate's worst relative error, the number of
     samples it checked, and the wall times of the gate and the optimizer.
     """
@@ -415,9 +453,18 @@ def train_decoder(
 
     weights = {name: np.array(getattr(params, name)) for name in _BLOCKS}
     live = SimpleNamespace(output_scale=params.output_scale, **weights)  # updated in place
-    m = {k: np.zeros_like(w) for k, w in weights.items()}
-    v = {k: np.zeros_like(w) for k, w in weights.items()}
-    largest = max(w.size for w in weights.values())
+    W1 = weights["W1"]
+    used = features.any(axis=0)  # W1 columns with a nonzero feature in some row
+    packed = _packed_runs(used)
+    dead = [cols for cols, _ in _packed_runs(~used)]
+    # the arrays AdamW updates: W1's used columns, packed, and the other blocks
+    # (a boolean column index returns a column-major copy; Adam wants row-major)
+    opt = dict(weights, W1=np.ascontiguousarray(W1[:, used]))
+    g_used = np.empty_like(opt["W1"])
+    w1_sq = np.zeros_like(W1)  # squared W1 gradient; the dead columns stay +0
+    m = {k: np.zeros_like(w) for k, w in opt.items()}
+    v = {k: np.zeros_like(w) for k, w in opt.items()}
+    largest = max([w.size for w in opt.values()] + [W1[:, cols].size for cols in dead])
     scratch = np.empty(largest), np.empty(largest)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
@@ -427,6 +474,9 @@ def train_decoder(
     #   m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g**2
     #   w = w - lr * ((m / bc1) / (sqrt(v / bc2) + eps) + wd * w)
     # so it rounds exactly like the same expression written out of place.
+    # A dead W1 column's gradient is a sum of products with zero features: it
+    # is +-0 at every step, so its m and v would stay +0 and its Adam term +0.
+    # Its update is therefore w - lr * (wd * w + 0), applied without moments.
     batch_size = max(1, -(-n // cfg.max_batches))  # ceil: covers the set in <= max_batches
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
@@ -440,9 +490,16 @@ def train_decoder(
                 raise TrainingDivergedError(trace + [loss])
             epoch_losses.append(loss)
 
+            for cols, at in packed:
+                np.square(grads["W1"][:, cols], out=w1_sq[:, cols])
+                g_used[:, at] = grads["W1"][:, cols]
+            grads["W1"] = g_used
             total_sq = 0
-            for g in grads.values():
-                sq = np.square(g, out=scratch[0][: g.size].reshape(g.shape))
+            for name, g in grads.items():
+                if name == "W1":
+                    sq = w1_sq  # dense: pairwise sums without the zeros round differently
+                else:
+                    sq = np.square(g, out=scratch[0][: g.size].reshape(g.shape))
                 total_sq += float(np.sum(sq))
             norm = np.sqrt(total_sq)
             scale = cfg.grad_clip / norm if norm > cfg.grad_clip else 1.0
@@ -450,10 +507,11 @@ def train_decoder(
             step += 1
             bc1 = 1.0 - beta1**step
             bc2 = 1.0 - beta2**step
-            for name, w in weights.items():
+            for name, w in opt.items():
                 g, mk, vk = grads[name], m[name], v[name]
                 a, b = (buf[: w.size].reshape(w.shape) for buf in scratch)
-                g *= scale
+                if scale != 1.0:
+                    g *= scale
                 np.multiply(g, 1 - beta1, out=a)
                 mk *= beta1
                 mk += a
@@ -468,6 +526,15 @@ def train_decoder(
                 b /= a
                 np.multiply(w, cfg.weight_decay, out=a)
                 a += b
+                a *= cfg.learning_rate
+                w -= a
+            for cols, at in packed:
+                W1[:, cols] = opt["W1"][:, at]
+            for cols in dead:
+                w = W1[:, cols]
+                a = scratch[0][: w.size].reshape(w.shape)
+                np.multiply(w, cfg.weight_decay, out=a)
+                a += 0.0  # the Adam term: keeps a -0.0 weight at -0.0
                 a *= cfg.learning_rate
                 w -= a
         trace.append(float(np.mean(epoch_losses)))

@@ -46,6 +46,7 @@ from .decoder import (
     build_features,
     decode,
     decode_batch,
+    feature_blocks,
     init_params,
     train_decoder,
 )
@@ -460,16 +461,24 @@ def train_decoder_for(
 ) -> tuple[DecoderParams, list[float]]:
     """Initialize and fit a decoder from simulated rollouts over one split.
 
-    Logs the training-set build time on the `smoothtta.decoder` logger, next
-    to `train_decoder`'s event for the gradient gate and the optimizer.
+    Logs the training-set build time and, per FEATURE_LAYOUT block, the
+    number of columns that are zero in every row (their W1 columns only decay
+    in training) on the `smoothtta.decoder` logger, next to `train_decoder`'s
+    event for the gradient gate and the optimizer.
     """
     started = time.perf_counter()
     feats, targets, locals_, gate = build_decoder_training_set(
         backbone, dataset, config, part
     )
+    elapsed = time.perf_counter() - started
+    zero = ~feats.any(axis=0)
+    blocks = feature_blocks(config.horizon, config.solver.context_size)
     decoder_log.info(
-        "decoder training set: %d rows of width %d built in %.3f s",
-        feats.shape[0], feats.shape[1], time.perf_counter() - started,
+        "decoder training set: %d rows of width %d built in %.3f s; "
+        "columns zero in every row, by block: %s",
+        feats.shape[0], feats.shape[1], elapsed,
+        ", ".join(f"{name} {int(zero[cols].sum())}/{cols.stop - cols.start}"
+                  for name, cols in blocks.items()),
     )
     params = init_params(
         horizon=config.horizon,

@@ -289,6 +289,18 @@ def test_dump_schedule_command(workdir):
     assert float(first["local_share"]) == pytest.approx(0.923, abs=1e-3)
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--clip", "-1"), ("--ramp-midpoint", "2"), ("--global-mix", "nan"), ("--horizon", "0")],
+)
+def test_dump_schedule_out_of_range_flag_exits_2(tmp_path, capsys, flag, value):
+    out = tmp_path / "schedule.csv"
+    assert cli.main(["dump-schedule", flag, value, "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("configuration error:") and flag in line
+    assert not out.exists()
+
+
 def test_train_decoder_exit_code_2_on_backbone_shape_mismatch(workdir):
     res = _run(
         ["train-decoder", "--data", "toy.csv", "--lookback", "24", "--horizon", "8",
@@ -510,6 +522,7 @@ def _in_process(workdir, command, *extra, out="run_in_process"):
         ("sweep", ["--parameter", "prefix", "--grid=-2,3"], "prefix_length >= 0"),
         ("rollout", ["--max-windows", "-1"], "max_windows must be >= 1"),
         ("rollout", ["--max-windows", "0"], "max_windows must be >= 1"),
+        ("rollout", ["--set", "prefix_length=-4"], "prefix_length >= 0"),
     ],
 )
 def test_negative_prefix_and_window_cap_below_one_exit_2(workdir, capsys, command, extra, message):

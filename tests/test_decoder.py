@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -435,6 +437,74 @@ def test_in_place_adamw_matches_out_of_place_reference(config):
     for name in ("W1", "b1", "W2", "b2"):
         assert np.array_equal(getattr(trained, name), getattr(expected, name))
     assert trace == expected_trace
+
+
+def _zero_columns(pattern, horizon, context, cut, keep):
+    """Boolean mask of the feature columns `pattern` zeroes in every row."""
+    blocks = dec.feature_blocks(horizon, context)
+    zero = np.zeros(5 * horizon + 2 * context, dtype=bool)
+    if pattern == "error-mask-tail":  # padded error and mask past step `cut`
+        for name in ("padded_error", "mask"):
+            zero[blocks[name].start + cut : blocks[name].stop] = True
+    elif pattern == "memory-context":
+        zero[blocks["memory"].start :] = True
+    elif pattern == "all-but-one":
+        zero[:] = True
+        zero[keep % zero.size] = False
+    elif pattern == "all":
+        zero[:] = True
+    return zero
+
+
+@pytest.mark.parametrize("check", [True, False], ids=["gate", "no-gate"])
+@pytest.mark.parametrize("clip", [1e-3, np.inf], ids=["clipped", "unclipped"])
+@pytest.mark.parametrize("pattern", ["none", "error-mask-tail", "memory-context", "all-but-one", "all"])
+@settings(max_examples=15, deadline=None)
+@given(
+    horizon=st.integers(2, 8),
+    context=st.integers(1, 3),
+    hidden=st.integers(1, 12),
+    rows=st.integers(1, 30),
+    cut=st.integers(0, 7),
+    keep=st.integers(0, 10**6),
+    signed_zero=st.booleans(),
+    max_batches=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_used_column_adamw_matches_dense_reference_bit_for_bit(
+    pattern, clip, check, horizon, context, hidden, rows, cut, keep, signed_zero, max_batches, seed
+):
+    # train_decoder runs Adam only on the W1 columns with a nonzero feature;
+    # the dense out-of-place reference runs it on every column
+    rng = np.random.default_rng(seed)
+    p = init_params(horizon=horizon, context_size=context, hidden=hidden, seed=seed)
+    feats = rng.standard_normal((rows, p.input_width))
+    zero = _zero_columns(pattern, horizon, context, min(cut, horizon - 1), keep)
+    feats[:, zero] = -0.0 if signed_zero else 0.0
+    local = 0.1 * rng.standard_normal((rows, horizon))
+    target = local + 0.3 + 0.05 * rng.standard_normal((rows, horizon))
+    gate = rng.uniform(0.0, 1.0, horizon)
+    cfg = TrainConfig(epochs=2, max_batches=max_batches, seed=seed, grad_clip=clip,
+                      check_gradients=check, check_samples=2)
+    trained, trace = train_decoder(p, feats, target, local, gate, cfg)
+    expected, expected_trace = reference.adamw(p, feats, target, local, gate, cfg)
+    for name in ("W1", "b1", "W2", "b2"):
+        assert getattr(trained, name).tobytes() == getattr(expected, name).tobytes(), name
+    assert np.array(trace).tobytes() == np.array(expected_trace).tobytes()
+
+
+def test_dead_column_keeps_a_negative_zero_weight():
+    # the dense update adds Adam's +0 step before scaling: -0.0 stays -0.0
+    p, feats, target, local, gate = _training_set(n=20, d_seed=4)
+    feats[:, -2 * K :] = 0.0
+    W1 = np.array(p.W1)
+    W1[:, -2 * K :] = -0.0
+    p = dataclasses.replace(p, W1=W1)
+    cfg = TrainConfig(epochs=2, seed=3, check_gradients=False)
+    trained, _ = train_decoder(p, feats, target, local, gate, cfg)
+    expected, _ = reference.adamw(p, feats, target, local, gate, cfg)
+    assert np.signbit(expected.W1[:, -2 * K :]).all()
+    assert trained.digest() == expected.digest()
 
 
 def test_training_logs_gate_and_optimizer(caplog):

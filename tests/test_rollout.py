@@ -6,7 +6,7 @@ import pytest
 
 from smoothtta.backbones import BiasedOracleForecaster
 from smoothtta.config import ConfigError, RolloutConfig, SolverConfig, apply_overrides
-from smoothtta.decoder import DecoderParams, init_params
+from smoothtta.decoder import FEATURE_LAYOUT, DecoderParams, init_params
 from smoothtta.fusion import fuse
 from smoothtta.rollout import (
     ContractViolation,
@@ -206,7 +206,8 @@ def test_fixed_prefix_accepts_zero_and_rejects_none_or_negative():
     for length in (None, -1):
         with pytest.raises(ConfigError, match="prefix_length >= 0"):
             RolloutConfig(prefix_mode="fixed", prefix_length=length).validate()
-    RolloutConfig(prefix_length=-1).validate()  # an fft run ignores prefix_length
+    with pytest.raises(ConfigError, match="prefix_length >= 0"):
+        RolloutConfig(prefix_length=-1).validate()  # in fft mode too
 
 
 @pytest.mark.parametrize("cap", [0, -1])
@@ -343,3 +344,20 @@ def test_train_decoder_for_logs_each_part(small_fixture, caplog):
     assert messages[0].startswith("decoder training set:")
     assert "gradient gate" in messages[1] and "over 20 samples" in messages[1]
     assert "optimizer" in messages[1]
+
+
+def test_training_set_event_counts_zero_columns_by_block(small_fixture, caplog):
+    fx = small_fixture
+    with caplog.at_level("INFO", logger="smoothtta.decoder"):
+        train_decoder_for(fx.backbone, fx.dataset, fx.config)
+    message = next(r.getMessage() for r in caplog.records if r.name == "smoothtta.decoder")
+    counts = [item.split() for item in message.split("by block: ")[1].split(", ")]
+    assert [name for name, _ in counts] == FEATURE_LAYOUT.split(":")[0].split("|")
+    feats, _, _, _ = build_decoder_training_set(fx.backbone, fx.dataset, fx.config, "val")
+    zero = ~feats.any(axis=0)
+    lo = 0
+    for _, count in counts:
+        dead, width = (int(x) for x in count.split("/"))
+        assert dead == int(zero[lo : lo + width].sum())
+        lo += width
+    assert lo == feats.shape[1]
