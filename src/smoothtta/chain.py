@@ -21,7 +21,7 @@ class InvalidHorizonError(ValueError):
 
 
 class InvalidRegularizerError(ValueError):
-    """Smoothness regularizer must be strictly positive."""
+    """Smoothness regularizer must be finite, with 1 + alpha > 1 in floating point."""
 
 
 def difference_matrix(horizon: int) -> np.ndarray:
@@ -71,9 +71,10 @@ def build_transfer_operator(horizon: int, alpha: float) -> TransferOperator:
     """
     if horizon < 2:
         raise InvalidHorizonError(f"transfer operator needs horizon >= 2, got {horizon}")
-    if not alpha > 0:
+    if not 1.0 < 1.0 + alpha < np.inf:
         raise InvalidRegularizerError(
-            f"smoothness regularizer must be > 0 (matrix can be singular at 0), got {alpha}"
+            "smoothness regularizer must be finite with 1 + alpha > 1 (else the matrix "
+            f"rounds to the singular chain Laplacian), got {alpha}"
         )
     key = (int(horizon), round(float(alpha), 12))
     with _cache_lock:

@@ -253,6 +253,8 @@ def cmd_sparse_boundary(args) -> int:
     cfg, ds, backbone, decoder_params = _prepare(args)
     if not 0 <= args.k < cfg.horizon:
         raise ConfigError(f"--k {args.k} must lie in [0, horizon={cfg.horizon})")
+    if cfg.prefix_mode == "fixed":
+        raise ConfigError("--k fixes the prefix; drop --prefix N and prefix_mode=fixed")
     near = _parse_steps(args.near, cfg.horizon, "near")
     far = _parse_steps(args.far, cfg.horizon, "far")
     report = run_sparse_boundary(

@@ -46,8 +46,8 @@ class SolverConfig:
     def validate(self) -> None:
         if self.min_prefix_support < 1:
             raise ConfigError("min_prefix_support must be >= 1")
-        if not self.smoothness_alpha > 0:
-            raise ConfigError("smoothness_alpha must be > 0")
+        if not 1.0 < 1.0 + self.smoothness_alpha < math.inf:
+            raise ConfigError("smoothness_alpha must be finite with 1 + alpha > 1")
         if not self.ridge_coef > 0:
             raise ConfigError("ridge_coef must be > 0")
         if not 0.0 <= self.memory_decay <= 1.0:

@@ -34,8 +34,7 @@ PARAMS_KIND = "memory-decoder"
 _BLOCKS = ("W1", "b1", "W2", "b2")
 _INPUTS = ("forecast", "local_field", "padded_error", "mask", "memory_template", "context")
 
-# Gradient-gate budget for one chunk of probed coordinates: their perturbed
-# hidden states, outputs and gathered weight rows.
+# Gradient-gate budget for one chunk of hidden-layer probes: their moved error terms.
 _PROBE_CHUNK_BYTES = 2 << 20
 
 
@@ -290,79 +289,66 @@ def gradient_check(
     no more). Relative error uses |ga - gn| / max(|ga| + |gn|, 1e-6) so that
     a pair of exactly-zero gradients scores 0; a NaN one scores inf.
 
-    Each perturbed loss is the full fused-objective MSE with one coordinate
-    moved by +-`step`, evaluated from the unperturbed forward pass: a W1 or
-    b1 probe recomputes only its hidden unit's pre-activation (from the
-    perturbed W1 row or bias), a W2 or b2 probe only its output step. The
-    hidden states of a chunk of perturbations go through one stacked tanh
-    and one output-layer product, then one MSE per perturbation.
+    Each numeric gradient is the difference of two evaluated losses, the
+    fused-objective MSE with one coordinate moved by +-`step`, whose error
+    terms are a rank-one update of the unperturbed forward pass. A W1 or b1
+    probe moves only the tanh of its hidden unit u, by dt_u per row, so the
+    error terms move by dt_u * output_scale * gate * W2[:, u]. A W2 or b2
+    probe moves only its output step s, so only error column s moves.
+    Hidden-layer probes run in chunks whose moved error terms fit in
+    `_PROBE_CHUNK_BYTES`.
     """
     features = np.atleast_2d(features)
     target = np.atleast_2d(target)
     local_field = np.atleast_2d(local_field)
     _, analytic = _loss_and_grads(params, features, target, local_field, gate)
-    exact_blocks = [analytic[name].ravel() for name in _BLOCKS]
 
     W1, b1, W2, b2 = params.W1, params.b1, params.W2, params.b2
-    (hidden, width), rows = W1.shape, features.shape[0]
+    hidden, width = W1.shape
+    gain = params.output_scale * np.broadcast_to(gate, b2.shape)  # d err / d (t @ W2.T + b2)
     offsets = np.cumsum([0, W1.size, b1.size, W2.size, b2.size])
     rng = np.random.default_rng(seed)
     if offsets[-1] > max_coords:
         coords = rng.choice(int(offsets[-1]), size=max_coords, replace=False)
     else:
         coords = np.arange(offsets[-1])
+    block = np.searchsorted(offsets, coords, side="right") - 1
+    idx = coords - offsets[block]
+    exact = np.empty(coords.size)
+    for b, name in enumerate(_BLOCKS):
+        exact[block == b] = analytic[name].ravel()[idx[block == b]]
 
-    pre1 = features @ W1.T
-    t = np.tanh(pre1 + b1)
-    # floats held per probed coordinate: two perturbed copies of the hidden
-    # states, the outputs and their error terms, and a gathered W1 row
-    per_coord = 2 * (rows * (hidden + 3 * b2.size) + width)
-    chunk = max(1, _PROBE_CHUNK_BYTES // (8 * per_coord))
-    worst = 0.0
-    for lo in range(0, coords.size, chunk):
-        picked = coords[lo : lo + chunk]
-        n = picked.size
-        block = np.searchsorted(offsets, picked, side="right") - 1
-        idx = picked - offsets[block]
-        exact = np.empty(n)
-        for b, grad in enumerate(exact_blocks):
-            exact[block == b] = grad[idx[block == b]]
+    z = features @ W1.T + b1
+    t = np.tanh(z)
+    err = local_field + gate * (params.output_scale * (t @ W2.T + b2)) - target
+    moves = np.array([step, -step])[:, None, None]
+    numeric = np.empty(coords.size)
 
-        # perturbations 0..n-1 move the picked coordinates by +step, n..2n-1 by -step
-        block, idx = np.tile(block, 2), np.tile(idx, 2)
-        delta = np.repeat([step, -step], n)
-        pw1, pb1, pw2, pb2 = (np.flatnonzero(block == b) for b in range(4))
+    # hidden layer: unit u's pre-activation moves by step * (its feature, or 1 for b1)
+    probes = np.flatnonzero(block < 2)
+    unit = np.where(block == 0, idx // width, idx)
+    slope = np.where(block == 0, features[:, idx % width], 1.0)
+    chunk = max(1, _PROBE_CHUNK_BYTES // (16 * err.size))  # the +-step error terms per probe
+    for lo in range(0, probes.size, chunk):
+        p = probes[lo : lo + chunk]
+        u = unit[p]
+        dt = np.tanh(z[:, u] + moves * slope[:, p]) - t[:, u]  # (2, rows, probes)
+        moved = err[:, None] + dt[..., None] * (gain * W2[:, u].T)
+        losses = np.mean(moved**2, axis=(1, 3))
+        numeric[p] = (losses[0] - losses[1]) / (2.0 * step)
 
-        # hidden layer: a W1 or b1 probe moves one unit's pre-activation
-        unit_w1, col_w1 = np.divmod(idx[pw1], width)
-        unit_b1 = idx[pb1]
-        rows_w1 = W1[unit_w1]
-        rows_w1[np.arange(pw1.size), col_w1] = W1[unit_w1, col_w1] + delta[pw1]
-        z = np.concatenate(
-            [features @ rows_w1.T + b1[unit_w1], pre1[:, unit_b1] + (b1[unit_b1] + delta[pb1])],
-            axis=1,
-        )
-        states = np.repeat(t[None], 2 * n, axis=0)
-        states[np.concatenate([pw1, pb1]), :, np.concatenate([unit_w1, unit_b1])] = np.tanh(z).T
+    # output layer: error column s moves by step * gain[s] * (t[:, u], or 1 for b2)
+    p = np.flatnonzero(block >= 2)
+    s = np.where(block == 2, idx // hidden, idx)[p]
+    slope = np.where(block == 2, t[:, idx % hidden], 1.0)[:, p] * gain[s]
+    col_sq = np.sum(err**2, axis=0)
+    moved = err[:, s] + moves * slope  # (2, rows, probes)
+    losses = (np.sum(col_sq) - col_sq[s] + np.sum(moved**2, axis=1)) / err.size
+    numeric[p] = (losses[0] - losses[1]) / (2.0 * step)
 
-        # output layer: a W2 or b2 probe moves one output step
-        pre2 = (states.reshape(2 * n * rows, hidden) @ W2.T).reshape(2 * n, rows, -1)
-        step_w2, unit_w2 = np.divmod(idx[pw2], hidden)
-        rows_w2 = W2[step_w2]
-        rows_w2[np.arange(pw2.size), unit_w2] = W2[step_w2, unit_w2] + delta[pw2]
-        pre2[pw2, :, step_w2] = (t @ rows_w2.T).T
-        step_b2 = idx[pb2]
-        bias = np.repeat(b2[None], 2 * n, axis=0)
-        bias[pb2, step_b2] = b2[step_b2] + delta[pb2]
-        out = params.output_scale * (pre2 + bias[:, None, :])
-        err = local_field + gate * out - target
-        losses = np.mean((err**2).reshape(2 * n, -1), axis=1)
-
-        numeric = (losses[:n] - losses[n:]) / (2.0 * step)
-        rel = np.abs(exact - numeric) / np.maximum(np.abs(exact) + np.abs(numeric), 1e-6)
-        # a NaN gradient (say, from a NaN feature) fails the check: it scores inf
-        worst = max(worst, float(np.max(np.nan_to_num(rel, nan=np.inf), initial=0.0)))
-    return worst
+    rel = np.abs(exact - numeric) / np.maximum(np.abs(exact) + np.abs(numeric), 1e-6)
+    # a NaN gradient (say, from a NaN feature) fails the check: it scores inf
+    return float(np.max(np.nan_to_num(rel, nan=np.inf), initial=0.0))
 
 
 @dataclass

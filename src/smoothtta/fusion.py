@@ -26,12 +26,12 @@ class FusionSchedule:
     def __post_init__(self):
         if not self.correction_clip > 0:
             raise ValueError(f"correction clip must be > 0, got {self.correction_clip}")
-        if not self.ramp_sharpness > 0:
-            raise ValueError(f"ramp sharpness must be > 0, got {self.ramp_sharpness}")
+        if not 0 < self.ramp_sharpness < np.inf:
+            raise ValueError(f"ramp sharpness must be finite and > 0, got {self.ramp_sharpness}")
         if not 0.0 <= self.ramp_midpoint <= 1.0:
             raise ValueError(f"ramp midpoint must lie in [0, 1], got {self.ramp_midpoint}")
-        if not self.global_mix >= 0:
-            raise ValueError(f"global mix must be >= 0, got {self.global_mix}")
+        if not 0 <= self.global_mix < np.inf:
+            raise ValueError(f"global mix must be finite and >= 0, got {self.global_mix}")
 
     def transition_step(self, horizon: int) -> int:
         """Step at which the gate crosses one half: round(midpoint * horizon)."""

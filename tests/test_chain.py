@@ -79,6 +79,13 @@ def test_transfer_operator_rejects_nonpositive_alpha():
         build_transfer_operator(4, -0.3)
 
 
+@pytest.mark.parametrize("alpha", [1e-16, np.inf, np.nan])
+def test_transfer_operator_rejects_alpha_lost_beside_one_or_not_finite(alpha):
+    # 1 + 1e-16 rounds to 1, so L + alpha * I would be the singular chain Laplacian
+    with pytest.raises(InvalidRegularizerError):
+        build_transfer_operator(4, alpha)
+
+
 def test_transfer_operator_cache_reuses_instances():
     clear_operator_cache()
     a = build_transfer_operator(7, 0.15)

@@ -220,6 +220,25 @@ def test_sparse_boundary_rejects_k_at_horizon(workdir):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--prefix", "5"], ["--set", "prefix_mode=fixed", "--set", "prefix_length=3"]],
+    ids=["prefix-flag", "set"],
+)
+def test_sparse_boundary_rejects_a_fixed_prefix(workdir, extra):
+    res = _run(
+        ["sparse-boundary", "--data", "toy.csv", *COMMON, "--k", "2", *extra,
+         "--near", "2:4", "--far", "6:8",
+         "--backbone", "backbone.params", "--decoder", "decoder.params",
+         "--out-dir", "run_sb_prefix"],
+        cwd=workdir,
+    )
+    assert res.returncode == 2
+    (line,) = res.stderr.splitlines()
+    assert line.startswith("configuration error:") and "--k" in line
+    assert not (workdir / "run_sb_prefix").exists()
+
+
 def test_contaminate_rejects_out_of_range_ratio(workdir):
     res = _run(
         ["contaminate", "--data", "toy.csv", *COMMON, "--ratios", "0,1.5",
@@ -291,7 +310,8 @@ def test_dump_schedule_command(workdir):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--clip", "-1"), ("--ramp-midpoint", "2"), ("--global-mix", "nan"), ("--horizon", "0")],
+    [("--clip", "-1"), ("--ramp-midpoint", "2"), ("--global-mix", "nan"), ("--horizon", "0"),
+     ("--ramp-sharpness", "inf"), ("--global-mix", "inf")],
 )
 def test_dump_schedule_out_of_range_flag_exits_2(tmp_path, capsys, flag, value):
     out = tmp_path / "schedule.csv"
@@ -361,6 +381,10 @@ def _train_in_process(workdir, *extra):
         "ramp_midpoint=-0.1",
         "global_mix=-0.5",
         "global_mix=nan",
+        "ramp_sharpness=inf",
+        "global_mix=inf",
+        "smoothness_alpha=1e-16",
+        "smoothness_alpha=inf",
     ],
 )
 def test_out_of_range_setting_exits_2(workdir, setting, capsys):

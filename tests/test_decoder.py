@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -381,16 +382,20 @@ def _central_difference_noise(p, feats, target, local, gate, max_coords, seed, s
     rows=st.integers(1, 3),
     max_coords=st.sampled_from([1, 17, 200, 10**6]),
     seed=st.integers(0, 2**16),
+    # from one hidden-layer probe per chunk (any budget below 16 * rows * horizon
+    # bytes) through a few per chunk, up to the default budget
+    chunk_bytes=st.one_of(st.integers(1, 4096), st.just(dec._PROBE_CHUNK_BYTES)),
 )
 def test_gradient_check_matches_per_coordinate_reference(
-    horizon, context, hidden, rows, max_coords, seed
+    horizon, context, hidden, rows, max_coords, seed, chunk_bytes
 ):
     # The batched gate rounds differently from the per-coordinate loop, so
     # beyond 1e-8 the two may differ by the rounding noise of a central
     # difference (a factor 8 over the estimate; 3000 random cases peaked at 0.74).
     p, feats, target, local, gate = _gate_case(horizon, context, hidden, rows, seed)
     args = (p, feats, target, local, gate)
-    fast = gradient_check(*args, max_coords=max_coords, seed=seed)
+    with mock.patch.object(dec, "_PROBE_CHUNK_BYTES", chunk_bytes):
+        fast = gradient_check(*args, max_coords=max_coords, seed=seed)
     slow = reference.gradient_check(*args, max_coords=max_coords, seed=seed)
     noise = _central_difference_noise(*args, max_coords=max_coords, seed=seed)
     assert abs(fast - slow) <= 1e-8 + 8 * noise
