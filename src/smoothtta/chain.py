@@ -66,8 +66,8 @@ def build_transfer_operator(horizon: int, alpha: float) -> TransferOperator:
     The dense solve (L + alpha*I) P = I (LAPACK LU, `np.linalg.solve`) is
     done once per key; the matrix is well conditioned (condition number at
     most (4 + alpha) / alpha), so LU is as accurate here as a Cholesky
-    solve. The rounded-alpha key avoids float aliasing between
-    near-identical regularizers.
+    solve. The key is alpha itself, so two regularizers share an operator
+    only when they are the same float.
     """
     if horizon < 2:
         raise InvalidHorizonError(f"transfer operator needs horizon >= 2, got {horizon}")
@@ -76,7 +76,7 @@ def build_transfer_operator(horizon: int, alpha: float) -> TransferOperator:
             "smoothness regularizer must be finite with 1 + alpha > 1 (else the matrix "
             f"rounds to the singular chain Laplacian), got {alpha}"
         )
-    key = (int(horizon), round(float(alpha), 12))
+    key = (int(horizon), float(alpha))
     with _cache_lock:
         cached = _operator_cache.get(key)
     if cached is not None:

@@ -69,7 +69,9 @@ def fit_bounded_response(
     Solves min ||B_prefix beta - r||^2 + ridge * ||beta||^2 for each channel
     with B = [harmonic, bias], clips beta into [-coef_clip, coef_clip], and
     scales the combined field by response_mix. Leading (window) axes are
-    fitted together as one stacked 2x2 solve.
+    fitted together as one stacked 2x2 solve. A system left singular because
+    the ridge is lost in rounding (collinear fields, as at a 1-step prefix)
+    takes its least-squares solution, which the box then clips.
     """
     if not ridge_coef > 0:
         raise InvalidRidgeError(f"ridge coefficient must be > 0, got {ridge_coef}")
@@ -81,12 +83,30 @@ def fit_bounded_response(
     G[..., 0, 1] = G[..., 1, 0] = (h * b).sum(axis=-2)
     G[..., 1, 1] = (b * b).sum(axis=-2) + ridge_coef
     rhs = np.stack([(h * R).sum(axis=-2), (b * R).sum(axis=-2)], axis=-1)
-    beta = np.swapaxes(np.linalg.solve(G, rhs[..., None])[..., 0], -1, -2)
+    beta = np.swapaxes(_solve_2x2(G, rhs[..., None])[..., 0], -1, -2)
     beta = np.clip(beta, -coef_clip, coef_clip)
     combined = response_mix * (harmonic * beta[..., :1, :] + bias * beta[..., 1:, :])
     return LocalCorrection(
         harmonic_field=harmonic, bias_field=bias, coefficients=beta, combined=combined
     )
+
+
+def _solve_2x2(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """`np.linalg.solve` of stacked systems; a singular one gets its least-squares solution.
+
+    Regular systems keep the bits of the stacked solve, which runs the same
+    LAPACK routine system by system.
+    """
+    try:
+        return np.linalg.solve(G, rhs)
+    except np.linalg.LinAlgError:
+        out = np.empty_like(rhs)
+        for i in np.ndindex(G.shape[:-2]):
+            try:
+                out[i] = np.linalg.solve(G[i], rhs[i])
+            except np.linalg.LinAlgError:
+                out[i] = np.linalg.lstsq(G[i], rhs[i], rcond=None)[0]
+        return out
 
 
 _propagators: dict[tuple[int, float, int], np.ndarray] = {}

@@ -14,12 +14,19 @@ two steps:
   the guard whenever windows overlap. Flags exist only once forecasts do, so
   the plan grows chunk by chunk; a window's entry depends on earlier windows
   only.
-- Execute. Windows run in chronological chunks under a fixed byte budget:
-  one backbone call, one FFT period estimate, the boundary (contamination
-  and anchors are transforms on the batched arrays, seeded per window
-  index), one local solve per prefix length, a streaming EMA fold of the
-  memory, one decoder pass over all (window, channel) rows and one clipped
-  fusion.
+- Execute. Windows run in chronological chunks under a fixed byte budget.
+  `_execute` prepares each chunk: one backbone call, one FFT period
+  estimate, the boundary (contamination and anchors are transforms on the
+  batched arrays, seeded per window index), one local solve per prefix
+  length and a streaming EMA fold of the memory. The consumer corrects it:
+  one decoder pass over all (window, channel) rows and one clipped fusion.
+  `rollout` runs `_execute` on one worker thread, one chunk ahead, so the
+  worker prepares chunk k+1 while the calling thread corrects chunk k; BLAS,
+  FFT and large ufunc loops release the GIL, so the two overlap on two
+  cores. Each chunk's arithmetic is the same on either thread, so outputs
+  are unchanged. `build_decoder_training_set` iterates `_execute` inline:
+  its per-chunk work is a cheap copy into the training arrays, and a chunk
+  prepared ahead would only raise its peak memory.
 
 The per-window API (`correct_window` and the functions it calls) runs the
 same kernels with a batch of one.
@@ -29,6 +36,8 @@ from __future__ import annotations
 
 import json
 import logging
+import queue
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -63,7 +72,10 @@ from .memory import (
 
 # Execute-chunk budget, sized by the decoder training set's feature rows of
 # d * (5H + 2K) floats per window (rollout's decoder pass builds no rows); a
-# chunk's other per-window arrays are of the same order.
+# chunk's other per-window arrays are of the same order. In `rollout` up to
+# three chunks are live at once: the one being corrected, one waiting in the
+# queue and one the worker is preparing. The inline training-set build holds
+# one.
 CHUNK_BYTES = 4 << 20
 
 decoder_log = logging.getLogger("smoothtta.decoder")
@@ -330,6 +342,74 @@ def _execute(plan: _Plan, backbone, dataset: Dataset, config: RolloutConfig,
                      padded, local, templates, contexts)
 
 
+class _OneAhead:
+    """Iterate `items` on one worker thread that runs at most one item ahead.
+
+    Use it as a context manager and iterate the object. The worker produces
+    item k+1 while the caller consumes item k; a queue of size one holds the
+    finished item. An exception raised by `items` reaches the caller as the
+    same object. Leaving the `with` block, normally or by an exception, stops
+    and joins the worker; each of its puts gives up once the stop flag is set,
+    so none blocks forever. `busy` counts the worker's seconds inside `items`
+    and `waited` the caller's seconds blocked on the queue.
+    """
+
+    _ITEM, _DONE, _RAISE = range(3)
+
+    def __init__(self, items):
+        self._items = items
+        self._queue: queue.Queue = queue.Queue(maxsize=1)
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._run, name="smoothtta-ahead", daemon=True)
+        self.busy = self.waited = 0.0
+
+    def _put(self, kind: int, value) -> bool:
+        """Queue one message; False once the caller has stopped the worker."""
+        while not self._stop.is_set():
+            try:
+                self._queue.put((kind, value), timeout=0.1)
+            except queue.Full:
+                continue
+            return not self._stop.is_set()
+        return False
+
+    def _run(self) -> None:
+        try:
+            t = time.perf_counter()
+            for item in self._items:
+                self.busy += time.perf_counter() - t
+                if not self._put(self._ITEM, item):
+                    return
+                t = time.perf_counter()
+            self.busy += time.perf_counter() - t
+            self._put(self._DONE, None)
+        except BaseException as exc:  # noqa: BLE001 - raised again in the caller
+            self._put(self._RAISE, exc)
+
+    def __enter__(self) -> _OneAhead:
+        self._thread.start()
+        return self
+
+    def __iter__(self):
+        while True:
+            t = time.perf_counter()
+            kind, value = self._queue.get()
+            self.waited += time.perf_counter() - t
+            if kind == self._RAISE:
+                raise value
+            if kind == self._DONE:
+                return
+            yield value
+
+    def __exit__(self, *exc_info) -> None:
+        self._stop.set()
+        try:  # free the slot, so a blocked put returns at once
+            self._queue.get_nowait()
+        except queue.Empty:
+            pass
+        self._thread.join()
+
+
 def _metrics(chunk: _Chunk, corrected: np.ndarray, sl: slice) -> dict[str, list[float]]:
     err_b = chunk.residuals[:, sl]
     err_c = chunk.targets[:, sl] - corrected[:, sl]
@@ -372,30 +452,32 @@ def rollout(
     slices.update({f"{name}_": sl for name, sl in (extra_slices or {}).items()})
 
     plan = _Plan(_window_starts(dataset, config, part), H, config.memory_schedule)
+    chunks = _execute(plan, backbone, dataset, config, use_local=not s.global_only,
+                      use_memory=not s.no_memory, contamination_ratio=contamination_ratio,
+                      contamination_sigma=sigma, anchors=anchors)
     rows: list[dict] = []
     t0 = time.perf_counter()
-    for c in _execute(plan, backbone, dataset, config, use_local=not s.global_only,
-                      use_memory=not s.no_memory, contamination_ratio=contamination_ratio, contamination_sigma=sigma,
-                      anchors=anchors):
-        delta = np.zeros_like(c.forecasts)
-        if c.lengths.any():  # an empty boundary keeps the zero-shot forecast
-            sel = slice(None) if c.lengths.all() else c.lengths > 0
-            global_field = (
-                decode_batch(decoder_params, c.forecasts[sel], c.local[sel], c.padded[sel],
-                             c.masks[sel], c.templates[sel], c.contexts[sel])
-                if use_decoder else np.zeros_like(c.local[sel])
-            )
-            delta[sel] = fuse(c.local[sel], global_field, schedule)
-        corrected = c.forecasts + delta
-        columns = {
-            "window": c.windows.tolist(),
-            "start": c.starts.tolist(),
-            "prefix_length": c.lengths.tolist(),
-            "memory_version": c.versions.tolist(),
-        }
-        for prefix, sl in slices.items():
-            columns.update({prefix + k: v for k, v in _metrics(c, corrected, sl).items()})
-        rows.extend(dict(zip(columns, values)) for values in zip(*columns.values()))
+    with _OneAhead(chunks) as ahead:  # the worker owns `plan` until the join
+        for c in ahead:
+            delta = np.zeros_like(c.forecasts)
+            if c.lengths.any():  # an empty boundary keeps the zero-shot forecast
+                sel = slice(None) if c.lengths.all() else c.lengths > 0
+                global_field = (
+                    decode_batch(decoder_params, c.forecasts[sel], c.local[sel], c.padded[sel],
+                                 c.masks[sel], c.templates[sel], c.contexts[sel])
+                    if use_decoder else np.zeros_like(c.local[sel])
+                )
+                delta[sel] = fuse(c.local[sel], global_field, schedule)
+            corrected = c.forecasts + delta
+            columns = {
+                "window": c.windows.tolist(),
+                "start": c.starts.tolist(),
+                "prefix_length": c.lengths.tolist(),
+                "memory_version": c.versions.tolist(),
+            }
+            for prefix, sl in slices.items():
+                columns.update({prefix + k: v for k, v in _metrics(c, corrected, sl).items()})
+            rows.extend(dict(zip(columns, values)) for values in zip(*columns.values()))
     elapsed = time.perf_counter() - t0
 
     if backbone.param_digest() != backbone_digest:
@@ -409,7 +491,12 @@ def rollout(
         manifest=config.manifest(),
         rows=rows,
         n_flagged=plan.n_flagged,
-        timing={"rollout_seconds": elapsed, "windows": len(rows)},
+        timing={
+            "rollout_seconds": elapsed,
+            "windows": len(rows),
+            "worker_busy_seconds": ahead.busy,
+            "caller_wait_seconds": ahead.waited,
+        },
     )
     report.extra = report.aggregate()
     for name in (extra_slices or {}):

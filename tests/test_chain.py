@@ -95,6 +95,16 @@ def test_transfer_operator_cache_reuses_instances():
     assert c is not a
 
 
+def test_transfer_operator_cache_keys_on_the_exact_alpha():
+    # both regularizers round to the same 12 decimals; each still gets its own operator
+    clear_operator_cache()
+    small = build_transfer_operator(8, 1e-13)
+    large = build_transfer_operator(8, 3e-13)
+    assert (small.alpha, large.alpha) == (1e-13, 3e-13)
+    assert large.matrix[0, 0] < small.matrix[0, 0]
+    assert build_transfer_operator(8, 3e-13) is large
+
+
 def test_operator_matrix_is_immutable():
     op = build_transfer_operator(6, 0.5)
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,38 @@ def test_rollout_exit_code_4_on_leakage(workdir):
     )
     assert res.returncode == 4
     assert "contract violation" in res.stderr
+
+
+def _rollout_in_process(workdir, out, *extra):
+    """rollout through `cli.main` in this process, so tests can patch it."""
+    return cli.main(
+        ["rollout", "--data", str(workdir / "toy.csv"), *COMMON,
+         "--backbone", str(workdir / "backbone.params"),
+         "--decoder", str(workdir / "decoder.params"), "--out-dir", str(workdir / out), *extra]
+    )
+
+
+def test_leakage_found_while_the_worker_prepares_a_later_chunk_exits_4(
+    workdir, monkeypatch, capsys
+):
+    # one window per chunk: the caller already holds chunk 0 when the worker's
+    # plan trips the guard on window 1
+    monkeypatch.setattr(sys.modules["smoothtta.rollout"], "CHUNK_BYTES", 1)
+    threads = threading.active_count()
+    rc = _rollout_in_process(workdir, "run_leak", "--stride", "2", "--memory-schedule", "immediate")
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("contract violation:") and "leak" in err
+    assert threading.active_count() == threads
+
+
+def test_rollout_with_a_ridge_lost_in_rounding_exits_0(workdir):
+    # at a 1-step prefix the harmonic and bias fields are collinear, so the
+    # 2x2 ridge system is singular once the ridge rounds away
+    out = "run_tiny_ridge"
+    assert _rollout_in_process(workdir, out, "--prefix", "1", "--set", "ridge_coef=1e-20") == 0
+    manifest = json.loads((workdir / out / "rollout" / "manifest.json").read_text())
+    assert np.isfinite(manifest["aggregates"]["mse_corrected"])
 
 
 def test_data_env_var_resolution(workdir, tmp_path):

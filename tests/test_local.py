@@ -203,3 +203,28 @@ def test_batched_solve_matches_the_step_by_step_reference():
             assert np.allclose(batch.harmonic_field[i], harm, rtol=1e-12, atol=1e-14)
             assert np.allclose(batch.coefficients[i], ref.coefficients, rtol=1e-12, atol=1e-14)
             assert np.allclose(batch.combined[i], ref.combined, rtol=1e-12, atol=1e-14)
+
+
+def test_fit_with_a_ridge_lost_in_rounding_takes_the_boxed_least_squares_solution():
+    # collinear fields: 4 + 1e-20 rounds to 4, so the 2x2 system is singular
+    harmonic, bias, prefix = np.full((8, 1), 2.0), np.full((8, 1), 1.0), np.ones((1, 1))
+    out = fit_bounded_response(harmonic, bias, prefix, ridge_coef=1e-20)
+    # minimum-norm solution of 2 b0 + b1 = 1
+    assert np.allclose(out.coefficients[:, 0], [0.4, 0.2], rtol=1e-12)
+    boxed = fit_bounded_response(harmonic, bias, prefix, ridge_coef=1e-20, coef_clip=0.3)
+    assert np.allclose(boxed.coefficients[:, 0], [0.3, 0.2], rtol=1e-12)
+    assert np.all(np.isfinite(boxed.combined))
+
+
+def test_a_singular_system_leaves_the_regular_ones_bit_for_bit():
+    rng = np.random.default_rng(4)
+    harmonic, bias = rng.standard_normal((3, 8, 2)), rng.standard_normal((3, 8, 2))
+    prefix = rng.standard_normal((3, 2, 2))
+    harmonic[1, :, 0], bias[1, :, 0] = 2.0, 1.0  # window 1, channel 0: collinear
+    mixed = fit_bounded_response(harmonic, bias, prefix, ridge_coef=1e-20)
+    regular = [(0, 0), (0, 1), (1, 1), (2, 0), (2, 1)]
+    for w, c in regular:
+        alone = fit_bounded_response(harmonic[w, :, c:c + 1], bias[w, :, c:c + 1],
+                                     prefix[w, :, c:c + 1], ridge_coef=1e-20)
+        assert np.array_equal(mixed.coefficients[w, :, c], alone.coefficients[:, 0])
+    assert np.all(np.isfinite(mixed.coefficients))

@@ -1,12 +1,17 @@
 import copy
 import importlib
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothtta.backbones import BiasedOracleForecaster
 from smoothtta.config import ConfigError, RolloutConfig, SolverConfig, apply_overrides
-from smoothtta.decoder import FEATURE_LAYOUT, DecoderParams, init_params
+from smoothtta.decoder import FEATURE_LAYOUT, DecoderParams, decode_batch, init_params
 from smoothtta.fusion import fuse
 from smoothtta.rollout import (
     ContractViolation,
@@ -273,6 +278,8 @@ def test_metrics_csv_and_manifest_round(small_fixture, tmp_path):
     assert payload["config"]["solver"]["correction_clip"] == 2.5
     assert payload["config"]["correction_units"] == "raw"
     assert "timing" in payload
+    timing = payload["timing"]
+    assert timing["worker_busy_seconds"] >= 0 and timing["caller_wait_seconds"] >= 0
 
 
 def test_manifest_records_ablation_clip():
@@ -361,3 +368,85 @@ def test_training_set_event_counts_zero_columns_by_block(small_fixture, caplog):
         assert dead == int(zero[lo : lo + width].sum())
         lo += width
     assert lo == feats.shape[1]
+
+
+class _Boom(RuntimeError):
+    pass
+
+
+class _CallerStop(Exception):
+    pass
+
+
+def _produce(items, raise_at, pause):
+    for k, item in enumerate(items):
+        if k == raise_at:
+            raise _Boom(f"no item {k}")
+        time.sleep(pause)
+        yield item
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(0, 6),
+    raise_at=st.one_of(st.none(), st.integers(0, 6)),
+    stop_at=st.one_of(st.none(), st.integers(0, 6)),
+    stop_by_raising=st.booleans(),
+    slow_side=st.sampled_from(["none", "producer", "consumer"]),
+)
+def test_one_ahead_delivers_in_order_forwards_the_error_and_joins(
+    n, raise_at, stop_at, stop_by_raising, slow_side
+):
+    items = [object() for _ in range(n)]
+    produce_pause = 1e-3 if slow_side == "producer" else 0.0
+    consume_pause = 1e-3 if slow_side == "consumer" else 0.0
+    threads = threading.active_count()
+    received, caught = [], None
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        with rollout_module._OneAhead(_produce(items, raise_at, produce_pause)) as ahead:
+            for item in ahead:
+                if len(received) == stop_at:
+                    if stop_by_raising:
+                        raise _CallerStop
+                    break
+                time.sleep(consume_pause)
+                received.append(item)
+    except (_Boom, _CallerStop) as exc:
+        caught = exc
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+
+    available = n if raise_at is None else min(n, raise_at)
+    if stop_at is not None and stop_at < available:  # the caller stops first
+        assert received == items[:stop_at] and all(a is b for a, b in zip(received, items))
+        assert isinstance(caught, _CallerStop) if stop_by_raising else caught is None
+    elif raise_at is not None and raise_at < n:  # the worker's error reaches the caller
+        assert all(a is b for a, b in zip(received, items[:raise_at]))
+        assert len(received) == raise_at
+        assert type(caught) is _Boom and str(caught) == f"no item {raise_at}"
+    else:
+        assert len(received) == n and all(a is b for a, b in zip(received, items))
+        assert caught is None
+
+
+def test_a_failing_decoder_pass_stops_the_worker(small_fixture, monkeypatch):
+    fx = small_fixture
+    params = _untrained_decoder(fx)
+    calls = []
+
+    def fails_on_the_second_chunk(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise _Boom("decoder pass failed")
+        return decode_batch(*args, **kwargs)
+
+    monkeypatch.setattr(rollout_module, "decode_batch", fails_on_the_second_chunk)
+    monkeypatch.setattr(rollout_module, "CHUNK_BYTES", 1)  # one window per chunk
+    threads = threading.active_count()
+    with pytest.raises(_Boom, match="decoder pass failed"):
+        rollout(fx.backbone, fx.dataset, fx.config, params)
+    assert len(calls) == 2
+    assert threading.active_count() == threads
