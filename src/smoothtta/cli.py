@@ -224,8 +224,10 @@ def _parse_ratios(spec: str) -> tuple[float, ...]:
 
 
 def cmd_contaminate(args) -> int:
-    cfg, ds, backbone, decoder_params = _prepare(args)
     ratios = _parse_ratios(args.ratios) if args.ratios else CONTAMINATION_RATIOS
+    if 0 not in ratios or not any(ratios):
+        raise ConfigError(f"--ratios must hold 0 and a nonzero ratio, got {args.ratios!r}")
+    cfg, ds, backbone, decoder_params = _prepare(args)
     summary = run_contamination_grid(backbone, ds, cfg, decoder_params, ratios)
     out = _out_dir(args, "contaminate")
     rows = summary.table()
@@ -308,12 +310,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    for flag in ("channels", "batch", "reps", "prefix_len"):
+    floors = {"channels": 1, "batch": 1, "reps": 1, "prefix_len": 1, "seed": 0}
+    for flag, least in floors.items():
         value = getattr(args, flag)
-        if value < 1:
-            raise ConfigError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
+        if value < least:
+            raise ConfigError(f"--{flag.replace('_', '-')} must be >= {least}, got {value}")
+    horizons = _parse_list(args.horizons, int, "horizons")
+    if min(horizons) < 2:
+        raise ConfigError(f"--horizons entries must be >= 2, got {args.horizons!r}")
     results = bench_latency(
-        horizons=_parse_list(args.horizons, int, "horizons"),
+        horizons=horizons,
         batch=args.batch,
         channels=args.channels,
         prefix=args.prefix_len,

@@ -115,6 +115,8 @@ class RolloutConfig:
             raise ConfigError("prefix_mode=fixed requires prefix_length >= 0 (0: zero-shot)")
         if self.max_windows is not None and self.max_windows < 1:
             raise ConfigError("max_windows must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.memory_schedule not in ("safe", "immediate"):
             raise ConfigError(f"unknown memory_schedule {self.memory_schedule!r}")
 

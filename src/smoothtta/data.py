@@ -191,8 +191,8 @@ def split_dataset(
             ratios = SPLIT_PRESETS[ratios]
         except KeyError:
             raise DataError(f"unknown split preset {ratios!r}") from None
-    if any(r <= 0 for r in ratios) or sum(ratios) > 1.0 + 1e-9:
-        raise DataError(f"split ratios must be positive and sum to <= 1, got {ratios}")
+    if not all(0 < r < math.inf for r in ratios) or sum(ratios) > 1.0 + 1e-9:
+        raise DataError(f"split ratios must be positive, finite and sum to <= 1, got {ratios}")
     T = dataset.length
     train_end = int(T * ratios[0])
     val_end = train_end + int(T * ratios[1])

@@ -70,9 +70,12 @@ def run_contamination_grid(
 ) -> ContaminationSummary:
     """One rollout per outlier ratio; degradation vs the clean-prefix run.
 
-    Degradation is the mean over nonzero ratios of
-    (mse_r - mse_clean) / mse_clean on the corrected forecasts.
+    `ratios` must hold 0 (the clean run) and a nonzero ratio. Degradation is
+    the mean over nonzero ratios of (mse_r - mse_clean) / mse_clean on the
+    corrected forecasts.
     """
+    if 0 not in ratios or not any(ratios):
+        raise ValueError(f"ratios must hold 0 and a nonzero ratio, got {tuple(ratios)}")
     sigma = dataset.train_std()
     reports = {
         r: rollout(
@@ -85,7 +88,7 @@ def run_contamination_grid(
         )
         for r in ratios
     }
-    clean = reports[min(ratios)].aggregate()["mse_corrected"]
+    clean = reports[0].aggregate()["mse_corrected"]
     nonzero = [r for r in ratios if r > 0]
     degradation = float(
         np.mean([(reports[r].aggregate()["mse_corrected"] - clean) / clean for r in nonzero])

@@ -20,13 +20,14 @@ two steps:
   batched arrays, seeded per window index), one local solve per prefix
   length and a streaming EMA fold of the memory. The consumer corrects it:
   one decoder pass over all (window, channel) rows and one clipped fusion.
-  `rollout` runs `_execute` on one worker thread, one chunk ahead, so the
-  worker prepares chunk k+1 while the calling thread corrects chunk k; BLAS,
-  FFT and large ufunc loops release the GIL, so the two overlap on two
-  cores. Each chunk's arithmetic is the same on either thread, so outputs
-  are unchanged. `build_decoder_training_set` iterates `_execute` inline:
-  its per-chunk work is a cheap copy into the training arrays, and a chunk
-  prepared ahead would only raise its peak memory.
+  `rollout` steps `_execute` on a one-worker thread pool, one chunk ahead:
+  it submits the step to chunk k+1, corrects chunk k, then takes the step's
+  result, so at most one step is in flight. BLAS, FFT and large ufunc loops
+  release the GIL, so the two halves overlap on two cores. Each chunk's
+  arithmetic is the same on either thread, so outputs are unchanged.
+  `build_decoder_training_set` iterates `_execute` inline: its per-chunk
+  work is a cheap copy into the training arrays, and a chunk prepared ahead
+  would only raise its peak memory.
 
 The per-window API (`correct_window` and the functions it calls) runs the
 same kernels with a batch of one.
@@ -36,10 +37,9 @@ from __future__ import annotations
 
 import json
 import logging
-import queue
-import threading
 import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,10 +72,9 @@ from .memory import (
 
 # Execute-chunk budget, sized by the decoder training set's feature rows of
 # d * (5H + 2K) floats per window (rollout's decoder pass builds no rows); a
-# chunk's other per-window arrays are of the same order. In `rollout` up to
-# three chunks are live at once: the one being corrected, one waiting in the
-# queue and one the worker is preparing. The inline training-set build holds
-# one.
+# chunk's other per-window arrays are of the same order. In `rollout` two
+# chunks are live at once: the one being corrected and the one the worker is
+# preparing. The inline training-set build holds one.
 CHUNK_BYTES = 4 << 20
 
 decoder_log = logging.getLogger("smoothtta.decoder")
@@ -342,72 +341,40 @@ def _execute(plan: _Plan, backbone, dataset: Dataset, config: RolloutConfig,
                      padded, local, templates, contexts)
 
 
-class _OneAhead:
-    """Iterate `items` on one worker thread that runs at most one item ahead.
+class _OneAhead(ThreadPoolExecutor):
+    """A one-worker thread pool that iterates `items` at most one item ahead.
 
-    Use it as a context manager and iterate the object. The worker produces
-    item k+1 while the caller consumes item k; a queue of size one holds the
-    finished item. An exception raised by `items` reaches the caller as the
-    same object. Leaving the `with` block, normally or by an exception, stops
-    and joins the worker; each of its puts gives up once the stop flag is set,
-    so none blocks forever. `busy` counts the worker's seconds inside `items`
-    and `waited` the caller's seconds blocked on the queue.
+    Use it as a context manager and iterate the object. While the caller
+    holds item k, the worker produces item k+1. An exception raised by
+    `items` reaches the caller as the same object. Leaving the `with` block,
+    normally or by an exception, joins the worker after its one step in
+    flight. `busy` counts the worker's seconds inside `items` and `waited`
+    the caller's seconds blocked on the worker's result.
     """
 
-    _ITEM, _DONE, _RAISE = range(3)
+    _END = object()  # what `next` returns once `items` run out
 
     def __init__(self, items):
-        self._items = items
-        self._queue: queue.Queue = queue.Queue(maxsize=1)
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, name="smoothtta-ahead", daemon=True)
+        super().__init__(max_workers=1, thread_name_prefix="smoothtta-ahead")
+        self._items = iter(items)
         self.busy = self.waited = 0.0
 
-    def _put(self, kind: int, value) -> bool:
-        """Queue one message; False once the caller has stopped the worker."""
-        while not self._stop.is_set():
-            try:
-                self._queue.put((kind, value), timeout=0.1)
-            except queue.Full:
-                continue
-            return not self._stop.is_set()
-        return False
-
-    def _run(self) -> None:
-        try:
-            t = time.perf_counter()
-            for item in self._items:
-                self.busy += time.perf_counter() - t
-                if not self._put(self._ITEM, item):
-                    return
-                t = time.perf_counter()
-            self.busy += time.perf_counter() - t
-            self._put(self._DONE, None)
-        except BaseException as exc:  # noqa: BLE001 - raised again in the caller
-            self._put(self._RAISE, exc)
-
-    def __enter__(self) -> _OneAhead:
-        self._thread.start()
-        return self
+    def _step(self):
+        t = time.perf_counter()
+        item = next(self._items, self._END)
+        self.busy += time.perf_counter() - t
+        return item
 
     def __iter__(self):
+        ahead = self.submit(self._step)
         while True:
             t = time.perf_counter()
-            kind, value = self._queue.get()
+            item = ahead.result()  # re-raises the worker's exception
             self.waited += time.perf_counter() - t
-            if kind == self._RAISE:
-                raise value
-            if kind == self._DONE:
+            if item is self._END:
                 return
-            yield value
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop.set()
-        try:  # free the slot, so a blocked put returns at once
-            self._queue.get_nowait()
-        except queue.Empty:
-            pass
-        self._thread.join()
+            ahead = self.submit(self._step)
+            yield item
 
 
 def _metrics(chunk: _Chunk, corrected: np.ndarray, sl: slice) -> dict[str, list[float]]:

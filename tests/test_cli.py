@@ -493,6 +493,28 @@ def test_rollout_rejects_a_non_numeric_split(workdir, capsys):
     assert not (workdir / "run_bad_split").exists()
 
 
+@pytest.mark.parametrize("split", ["nan:0.1:0.2", "0.7:inf:0.2"])
+def test_rollout_rejects_a_non_finite_split_ratio(workdir, capsys, split):
+    argv = ["rollout", "--data", str(workdir / "toy.csv"), *COMMON, "--split", split,
+            "--out-dir", str(workdir / "run_nan_split")]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: split ratios must be positive, finite") and err.count("\n") == 1
+    assert not (workdir / "run_nan_split").exists()
+
+
+@pytest.mark.parametrize("ratios", ["0.1,0.3", "0", "0,0"])
+def test_contaminate_needs_ratio_0_and_a_nonzero_ratio(workdir, monkeypatch, capsys, ratios):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("fitted before the ratios were checked")
+
+    monkeypatch.setattr(cli.bb, "fit_linear_backbone", must_not_run)
+    argv = ["contaminate", "--data", str(workdir / "toy.csv"), *COMMON, "--ratios", ratios,
+            "--out-dir", str(workdir / "run_bad_ratios")]
+    _expect_configuration_error(argv, "ratios", capsys)
+    assert not (workdir / "run_bad_ratios").exists()
+
+
 @pytest.mark.parametrize("parameter, grid", [("memory_decay", "0.5,x"), ("prefix", "2,x")])
 def test_sweep_rejects_a_bad_grid_before_fitting(workdir, monkeypatch, capsys, parameter, grid):
     def must_not_run(*args, **kwargs):
@@ -529,7 +551,9 @@ def test_importing_the_package_and_cli_leaves_scipy_signal_unloaded(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("channels", "0"), ("batch", "0"), ("reps", "0"), ("prefix-len", "-3")]
+    "flag, value",
+    [("channels", "0"), ("batch", "0"), ("reps", "0"), ("prefix-len", "-3"), ("seed", "-1"),
+     ("horizons", "-3"), ("horizons", "96,1")],
 )
 def test_bench_rejects_a_count_below_one(tmp_path, monkeypatch, capsys, flag, value):
     def must_not_run(*args, **kwargs):
@@ -580,6 +604,8 @@ def _in_process(workdir, command, *extra, out="run_in_process"):
         ("rollout", ["--max-windows", "-1"], "max_windows must be >= 1"),
         ("rollout", ["--max-windows", "0"], "max_windows must be >= 1"),
         ("rollout", ["--set", "prefix_length=-4"], "prefix_length >= 0"),
+        ("rollout", ["--seed", "-1"], "seed must be >= 0"),
+        ("contaminate", ["--local-only", "--seed", "-1", "--ratios", "0,0.1"], "seed must be >= 0"),
     ],
 )
 def test_negative_prefix_and_window_cap_below_one_exit_2(workdir, capsys, command, extra, message):

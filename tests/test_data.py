@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,9 @@ def test_split_rejects_bad_ratios():
         split_dataset(_dataset(100), (0.9, 0.3, 0.2))
     with pytest.raises(DataError):
         split_dataset(_dataset(100), "nope")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DataError, match="finite"):
+            split_dataset(_dataset(100), (bad, 0.1, 0.2))
 
 
 def test_standardized_uses_train_statistics_only():

@@ -221,6 +221,12 @@ def test_window_cap_below_one_is_rejected(cap):
         RolloutConfig(max_windows=cap).validate()
 
 
+def test_a_negative_seed_is_rejected():
+    RolloutConfig(seed=0).validate()
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        RolloutConfig(seed=-1).validate()
+
+
 @pytest.mark.parametrize("pair", ["lookback=none", "horizon=", "ramp_midpoint=", "seed=none"])
 def test_none_is_no_value_for_a_key_that_is_never_none(pair):
     key, raw = pair.split("=")
@@ -378,8 +384,9 @@ class _CallerStop(Exception):
     pass
 
 
-def _produce(items, raise_at, pause):
+def _produce(items, raise_at, pause, started):
     for k, item in enumerate(items):
+        started.append(k)
         if k == raise_at:
             raise _Boom(f"no item {k}")
         time.sleep(pause)
@@ -401,23 +408,25 @@ def test_one_ahead_delivers_in_order_forwards_the_error_and_joins(
     produce_pause = 1e-3 if slow_side == "producer" else 0.0
     consume_pause = 1e-3 if slow_side == "consumer" else 0.0
     threads = threading.active_count()
-    received, caught = [], None
+    received, caught, started, lead = [], None, [], 0
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     try:
-        with rollout_module._OneAhead(_produce(items, raise_at, produce_pause)) as ahead:
+        with rollout_module._OneAhead(_produce(items, raise_at, produce_pause, started)) as ahead:
             for item in ahead:
                 if len(received) == stop_at:
                     if stop_by_raising:
                         raise _CallerStop
                     break
                 time.sleep(consume_pause)
+                lead = max(lead, started[-1] - len(received))  # producer item vs held item
                 received.append(item)
     except (_Boom, _CallerStop) as exc:
         caught = exc
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == threads
+    assert lead <= 1  # two live items: the one held and the one in production
 
     available = n if raise_at is None else min(n, raise_at)
     if stop_at is not None and stop_at < available:  # the caller stops first
