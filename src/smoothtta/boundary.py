@@ -67,23 +67,24 @@ def estimate_periods(lookbacks: np.ndarray, fallback: int = 2) -> np.ndarray:
     configured minimum prefix support.
     """
     X = np.asarray(lookbacks, dtype=float)
-    L = X.shape[1]
+    n, L, d = X.shape
     if L < 4:
         raise ValueError(f"period estimation needs lookback length >= 4, got {L}")
-    centered = X - X.mean(axis=1, keepdims=True)
-    amplitude = np.abs(np.fft.rfft(centered, axis=1)).mean(axis=2)[:, 1:]  # drop DC
-    peak = amplitude.max(axis=1, initial=0.0)
-    flat = peak <= 1e-12 * np.maximum(1.0, np.abs(X).max(axis=(1, 2), initial=0.0))
+    centered = X - np.add.reduce(X, axis=1, keepdims=True) / L
+    spectrum = np.abs(np.fft.rfft(centered, axis=1))
+    amplitude = np.add.reduce(spectrum, axis=2)[:, 1:] / d  # drop DC
+    peak = np.maximum.reduce(amplitude, axis=1, initial=0.0)
+    scale = np.maximum.reduce(np.abs(X).reshape(n, L * d), axis=1, initial=0.0)
+    flat = peak <= 1e-12 * np.maximum(1.0, scale)
     k_star = np.argmax(amplitude, axis=1) + 1  # argmax takes the first (lowest) bin on ties
-    period = np.clip(np.rint(L / k_star).astype(int), 2, L)
+    period = np.minimum(L, np.maximum(2, np.rint(L / k_star).astype(int)))
     return np.where(flat, fallback, period)
 
 
 def estimate_dominant_period(lookback: np.ndarray, fallback: int = 2) -> int:
     """Dominant period of one (L, d) or (L,) lookback; see `estimate_periods`."""
-    X = np.atleast_2d(np.asarray(lookback, dtype=float))
-    if np.ndim(lookback) == 1:
-        X = X.T
+    X = np.asarray(lookback, dtype=float)
+    X = X[:, None] if X.ndim == 1 else np.atleast_2d(X)
     return int(estimate_periods(X[None], fallback)[0])
 
 

@@ -2,11 +2,11 @@
 
 Subcommands: fit-backbone, train-decoder, rollout, ablate, contaminate,
 sparse-boundary, sparse-anchor, sweep, bench, dump-schedule. Exit codes:
-0 success, 2 configuration error, 3 data error, 4 contract violation
-(leakage, frozen-parameter breach, a decoder gradient check that fails, or
-decoder training whose loss turns non-finite). The SMOOTHTTA_DATA
-environment variable supplies a directory against which relative --data
-paths resolve.
+0 success, 2 configuration error (also a setting whose arrays numpy cannot
+allocate), 3 data error, 4 contract violation (leakage, frozen-parameter
+breach, a decoder gradient check that fails, or decoder training whose loss
+turns non-finite). The SMOOTHTTA_DATA environment variable supplies a
+directory against which relative --data paths resolve.
 """
 
 from __future__ import annotations
@@ -217,9 +217,13 @@ def cmd_ablate(args) -> int:
 
 
 def _parse_ratios(spec: str) -> tuple[float, ...]:
+    """Distinct ratios in [0, 1] whose `metrics_ratio_{r:g}.csv` names differ too."""
     ratios = _parse_list(spec, float, "ratios")
     if any(not 0.0 <= r <= 1.0 for r in ratios):
         raise ConfigError(f"ratios must lie in [0, 1], got {spec!r}")
+    names = [f"{r:g}" for r in ratios]
+    if len(set(ratios)) < len(ratios) or len(set(names)) < len(names):
+        raise ConfigError(f"--ratios {spec!r} repeats a ratio or a file name ({', '.join(names)})")
     return ratios
 
 
@@ -270,13 +274,13 @@ def cmd_sparse_boundary(args) -> int:
 
 
 def cmd_sparse_anchor(args) -> int:
+    ratios = _parse_ratios(args.ratios)
     cfg, ds, backbone, decoder_params = _prepare(args)
     if not 1 <= args.support < cfg.horizon:
         raise ConfigError(
             f"--support {args.support} must lie inside the horizon {cfg.horizon}"
         )
     eval_steps = _parse_steps(args.eval, cfg.horizon, "eval")
-    ratios = _parse_ratios(args.ratios)
     out = _out_dir(args, "sparse-anchor")
     rows = []
     for r in ratios:
@@ -446,6 +450,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy names the refused allocation
+        print(f"configuration error: {exc or 'out of memory'}", file=sys.stderr)
         return 2
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ dataclass field names below.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -73,12 +74,15 @@ class SolverConfig:
         With `ablate`, `local_only` sets `global_mix` to 0 and `no_bound` the
         clip to infinity; with `ablate=False` the raw values pass through.
         """
-        return FusionSchedule(
-            global_mix=0.0 if ablate and self.local_only else self.global_mix,
-            ramp_sharpness=self.ramp_sharpness,
-            ramp_midpoint=self.ramp_midpoint,
-            correction_clip=math.inf if ablate and self.no_bound else self.correction_clip,
+        return _fusion_schedule(
+            0.0 if ablate and self.local_only else self.global_mix,
+            self.ramp_sharpness,
+            self.ramp_midpoint,
+            math.inf if ablate and self.no_bound else self.correction_clip,
         )
+
+
+_fusion_schedule = functools.lru_cache(maxsize=64)(FusionSchedule)  # frozen, so shareable
 
 
 ABLATION_SWITCHES = ("local_only", "global_only", "no_bound", "no_memory")

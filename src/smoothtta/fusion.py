@@ -9,6 +9,7 @@ was. Step indices run 0..H-1 so the gate argument h/H starts at exactly 0.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,14 @@ def global_gate(schedule: FusionSchedule, horizon: int) -> np.ndarray:
     return schedule.global_mix * ramp(schedule, horizon)
 
 
+@functools.lru_cache(maxsize=64)
+def gate_column(schedule: FusionSchedule, horizon: int) -> np.ndarray:
+    """`global_gate` as a read-only (H, 1) column, built once per (schedule, horizon)."""
+    gate = global_gate(schedule, horizon)
+    gate.flags.writeable = False
+    return gate[:, None]
+
+
 def fuse(
     local_field: np.ndarray,
     global_field: np.ndarray,
@@ -74,10 +83,9 @@ def fuse(
         )
     if not (np.isfinite(local_field).all() and np.isfinite(global_field).all()):
         raise ValueError("correction fields contain non-finite values (NaN or inf)")
-    gate = global_gate(schedule, local_field.shape[-2])[:, None]
-    combined = local_field + gate * global_field
+    out = local_field + gate_column(schedule, local_field.shape[-2]) * global_field
     c = schedule.correction_clip
-    return np.clip(combined, -c, c)
+    return out.clip(-c, c, out=out)
 
 
 def normalized_shares(schedule: FusionSchedule, horizon: int) -> tuple[np.ndarray, np.ndarray]:

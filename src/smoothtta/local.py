@@ -79,12 +79,14 @@ def fit_bounded_response(
     a = R.shape[-2]
     h, b = harmonic[..., :a, :], bias[..., :a, :]
     G = np.empty(R.shape[:-2] + R.shape[-1:] + (2, 2))
-    G[..., 0, 0] = (h * h).sum(axis=-2) + ridge_coef
-    G[..., 0, 1] = G[..., 1, 0] = (h * b).sum(axis=-2)
-    G[..., 1, 1] = (b * b).sum(axis=-2) + ridge_coef
-    rhs = np.stack([(h * R).sum(axis=-2), (b * R).sum(axis=-2)], axis=-1)
-    beta = np.swapaxes(_solve_2x2(G, rhs[..., None])[..., 0], -1, -2)
-    beta = np.clip(beta, -coef_clip, coef_clip)
+    G[..., 0, 0] = np.add.reduce(h * h, axis=-2) + ridge_coef
+    G[..., 0, 1] = G[..., 1, 0] = np.add.reduce(h * b, axis=-2)
+    G[..., 1, 1] = np.add.reduce(b * b, axis=-2) + ridge_coef
+    rhs = np.empty(G.shape[:-1] + (1,))
+    rhs[..., 0, 0] = np.add.reduce(h * R, axis=-2)
+    rhs[..., 1, 0] = np.add.reduce(b * R, axis=-2)
+    beta = np.swapaxes(_solve_2x2(G, rhs)[..., 0], -1, -2)
+    beta.clip(-coef_clip, coef_clip, out=beta)
     combined = response_mix * (harmonic * beta[..., :1, :] + bias * beta[..., 1:, :])
     return LocalCorrection(
         harmonic_field=harmonic, bias_field=bias, coefficients=beta, combined=combined
@@ -134,13 +136,16 @@ def solve_local(
     """
     R = np.asarray(boundary_error, dtype=float)
     *lead, a, d = R.shape
-    H = op.horizon
+    H, k = op.horizon, len(lead)
     if a == 0:
         zero = np.zeros((*lead, H, d))
         return LocalCorrection(zero, zero.copy(), np.zeros((*lead, 2, d)), zero.copy())
     if a > H:
         raise ValueError(f"prefix length {a} exceeds operator horizon {H}")
-    columns = np.moveaxis(R, -2, 0).reshape(a, -1)  # every (window, channel) at once
-    harm = np.moveaxis((_propagator(op, a) @ columns).reshape(H, *lead, d), 0, -2)
-    bias = np.broadcast_to(R.mean(axis=-2, keepdims=True), harm.shape)
+    columns = R.transpose(k, *range(k), k + 1).reshape(a, -1)  # every (window, channel) at once
+    harm = (_propagator(op, a) @ columns).reshape(H, *lead, d).transpose(*range(1, k + 1), 0, k + 1)
+    level = np.add.reduce(R, axis=-2, keepdims=True) / a
+    # the level repeated along the steps as a read-only stride-0 view, as np.broadcast_to makes
+    bias = np.ndarray(harm.shape, float, level, strides=level.strides[:-2] + (0, level.itemsize))
+    bias.flags.writeable = False
     return fit_bounded_response(harm, bias, R, ridge_coef, coef_clip, response_mix)

@@ -75,7 +75,10 @@ def fold_templates(template: np.ndarray, residuals, decay: float) -> np.ndarray:
 def residual_summaries(residuals: np.ndarray) -> np.ndarray:
     """(mean, mean_abs) of each (H, d) residual in a (k, H, d) stack, shape (k, 2)."""
     flat = residuals.reshape(len(residuals), -1)
-    return np.column_stack([flat.mean(axis=1), np.abs(flat).mean(axis=1)])
+    out = np.empty((len(flat), 2))
+    out[:, 0] = np.add.reduce(flat, axis=1) / flat.shape[1]
+    out[:, 1] = np.add.reduce(np.abs(flat), axis=1) / flat.shape[1]
+    return out
 
 
 def context_rows(summaries: np.ndarray, versions, context_size: int) -> np.ndarray:
@@ -99,21 +102,18 @@ def update_memory(state: MemoryState, batch_residuals: list[np.ndarray]) -> Memo
     if len(batch_residuals) == 0:
         logger.warning("empty memory batch: nothing folded, version stays %d", state.updates)
         return replace(state, empty_batch_warnings=state.empty_batch_warnings + 1)
-    residuals = [np.asarray(r, dtype=float) for r in batch_residuals]
     shape = (state.horizon, state.channels)
-    for r in residuals:
+    batch = np.empty((len(batch_residuals),) + shape)
+    for j, r in enumerate(batch_residuals):
+        r = np.asarray(r, dtype=float)
         if r.shape != shape:
             raise ValueError(f"residual shape {r.shape} does not match memory {shape}")
-    batch_mean = np.mean(residuals, axis=0)
+        batch[j] = r
+    batch_mean = np.add.reduce(batch, axis=0) / len(batch)
     template = fold_templates(state.template, batch_mean[None], state.decay)[1]
-    summaries = residual_summaries(np.stack(residuals))
-    ring = state.context_ring + tuple((float(m), float(ma)) for m, ma in summaries)
-    return replace(
-        state,
-        template=template,
-        context_ring=ring[-state.context_size:],
-        updates=state.updates + 1,
-    )
+    ring = state.context_ring + tuple(map(tuple, residual_summaries(batch).tolist()))
+    return MemoryState(template, ring[-state.context_size:], state.updates + 1, state.decay,
+                       state.context_size, state.empty_batch_warnings)
 
 
 def context_vector(state: MemoryState) -> np.ndarray:
@@ -122,5 +122,8 @@ def context_vector(state: MemoryState) -> np.ndarray:
     Slots without a completed window yet are zero, padded at the front so
     the newest window always sits at the end of the vector.
     """
-    ring = np.array(state.context_ring[-state.context_size:], dtype=float).reshape(-1, 2)
-    return context_rows(ring, [len(ring)], state.context_size)[0]
+    K = state.context_size
+    ring = state.context_ring[-K:]
+    out = np.zeros(2 * K)
+    out[2 * (K - len(ring)) :] = [v for summary in ring for v in summary]
+    return out

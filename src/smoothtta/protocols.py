@@ -70,12 +70,12 @@ def run_contamination_grid(
 ) -> ContaminationSummary:
     """One rollout per outlier ratio; degradation vs the clean-prefix run.
 
-    `ratios` must hold 0 (the clean run) and a nonzero ratio. Degradation is
-    the mean over nonzero ratios of (mse_r - mse_clean) / mse_clean on the
-    corrected forecasts.
+    `ratios` must hold 0 (the clean run) and a nonzero ratio, none twice.
+    Degradation is the mean over nonzero ratios of (mse_r - mse_clean) /
+    mse_clean on the corrected forecasts.
     """
-    if 0 not in ratios or not any(ratios):
-        raise ValueError(f"ratios must hold 0 and a nonzero ratio, got {tuple(ratios)}")
+    if 0 not in ratios or not any(ratios) or len(set(ratios)) < len(ratios):
+        raise ValueError(f"ratios must hold 0 and a nonzero ratio, none twice, got {tuple(ratios)}")
     sigma = dataset.train_std()
     reports = {
         r: rollout(

@@ -30,7 +30,9 @@ two steps:
   would only raise its peak memory.
 
 The per-window API (`correct_window` and the functions it calls) runs the
-same kernels with a batch of one.
+same kernels with a batch of one. Both read constants built once from the
+configuration: the transfer operator per (H, alpha), the local propagator
+per (H, alpha, a) and the fusion gate per (schedule, H).
 """
 
 from __future__ import annotations
@@ -141,7 +143,9 @@ def correct_window(
     """One window's correction field and diagnostics, given its boundary.
 
     The per-window counterpart of the engine's execute step, through the
-    same functions with a batch of one.
+    same functions with a batch of one. The transfer operator (cached per
+    (H, alpha)), its propagator (per (H, alpha, a)), the fusion schedule and
+    its gate (per (schedule, H)) are built by the first call that needs them.
     """
     s = config.solver
     horizon, d = forecast.shape

@@ -515,6 +515,36 @@ def test_contaminate_needs_ratio_0_and_a_nonzero_ratio(workdir, monkeypatch, cap
     assert not (workdir / "run_bad_ratios").exists()
 
 
+@pytest.mark.parametrize("ratios", ["0,0.1,0.1", "0,0.1,0.1000001", "0,-0,0.1"])
+@pytest.mark.parametrize("command, extra", [
+    ("contaminate", []),
+    ("sparse-anchor", ["--support", "4", "--eval", "5:8"]),
+])
+def test_repeated_ratios_exit_2_before_any_fit(workdir, monkeypatch, capsys, command, extra,
+                                               ratios):
+    # a repeat would run twice; 0.1 and 0.1000001 both write metrics_ratio_0.1.csv
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("prepared a run before the ratios were checked")
+
+    monkeypatch.setattr(cli, "_prepare", must_not_run)
+    argv = [command, "--data", str(workdir / "toy.csv"), *COMMON, *extra, "--ratios", ratios,
+            "--out-dir", str(workdir / "run_repeated_ratios")]
+    _expect_configuration_error(argv, "ratios", capsys)
+    assert not (workdir / "run_repeated_ratios").exists()
+
+
+def test_a_setting_numpy_cannot_allocate_exits_2(workdir, capsys):
+    # K = 2**44 asks for rows of 2**48 bytes: past any 47-bit address space, so
+    # numpy refuses the training-set array at once and nothing is allocated
+    argv = ["rollout", "--data", str(workdir / "toy.csv"), *COMMON,
+            "--backbone", str(workdir / "backbone.params"), "--set", f"context_size={2**44}",
+            "--out-dir", str(workdir / "run_unallocatable")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: Unable to allocate") and err.count("\n") == 1
+    assert "array with shape" in err
+
+
 @pytest.mark.parametrize("parameter, grid", [("memory_decay", "0.5,x"), ("prefix", "2,x")])
 def test_sweep_rejects_a_bad_grid_before_fitting(workdir, monkeypatch, capsys, parameter, grid):
     def must_not_run(*args, **kwargs):

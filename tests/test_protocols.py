@@ -54,7 +54,7 @@ def test_contamination_clean_ratio_contributes_zero(fx, trained):
     assert summary.degradation == pytest.approx((dirty - clean) / clean)
 
 
-@pytest.mark.parametrize("ratios", [(0.1, 0.3), (0.0,), (0.0, 0.0)])
+@pytest.mark.parametrize("ratios", [(0.1, 0.3), (0.0,), (0.0, 0.0), (0.0, 0.1, 0.1)])
 def test_contamination_grid_needs_a_clean_run_and_a_contaminated_one(fx, ratios):
     with pytest.raises(ValueError, match="0 and a nonzero ratio"):
         run_contamination_grid(fx.backbone, fx.dataset, fx.config, None, ratios)
