@@ -7,6 +7,12 @@ global decoder reads a zero-padded full-horizon copy plus an observation mask.
 Prefix length is tied to the dominant input period estimated from the
 lookback spectrum, so the boundary covers a meaningful temporal scale instead
 of an arbitrary number of steps.
+
+Contamination (the robustness protocol) and sparse anchors draw prefix
+positions and outlier signs exactly as `default_rng(seed).choice(a, k,
+replace=False)` and `.integers(2, size=k)` would, replayed for many windows
+at once from each window's raw `PCG64(seed).random_raw` stream, whose output
+numpy keeps stable across releases.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import numpy as np
 
 OUTLIER_MAGNITUDE = 6.0  # contamination outliers, in units of the train-split per-channel std
 _SIGNS = np.array([-1.0, 1.0])  # indexed by rng.integers(2): the draw rng.choice([-1.0, 1.0]) makes
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -131,6 +138,71 @@ class InvalidRatioError(ValueError):
     """Contamination ratio must lie in [0, 1]."""
 
 
+def _uint32_draws(seeds, n: int) -> np.ndarray:
+    """(rows, n rounded up to even) uint64: the first uint32 draws a Generator takes
+    from each `PCG64(seed)`, the low half and then the high half of each raw output."""
+    half = (n + 1) // 2
+    raw = np.array([np.random.PCG64(s).random_raw(half) for s in seeds], np.uint64)
+    raw = raw.reshape(len(seeds), half, 1)
+    halves = np.concatenate([raw & _LOW32, raw >> np.uint64(32)], axis=2)
+    return halves.reshape(len(seeds), 2 * half)
+
+
+def derive_seeds(keys) -> list[int]:
+    """`int(default_rng(key).integers(2**31))` per key: its first uint32 >> 1 (never rejects)."""
+    return (_uint32_draws(keys, 1)[:, 0] >> np.uint64(1)).tolist()
+
+
+def _bounded(seeds, bounds) -> np.ndarray:
+    """(rows, len(bounds)): per seed, Generator's draws in [0, m] for each bound m in turn.
+
+    Lemire's method: with x = u * (m + 1) the draw is x >> 32, and u is rejected
+    while x mod 2**32 < (2**32 - (m + 1)) mod (m + 1); a row's cursor then moves
+    one draw on, from that step to the end. m = 0 gives 0 and draws nothing.
+    """
+    excl = np.asarray(bounds, dtype=np.uint64) + np.uint64(1)
+    threshold = (np.uint64(2**32) - excl) % excl
+    drawing = excl > 1
+    cursor = np.broadcast_to(np.cumsum(drawing) - drawing, (len(seeds), excl.size))
+    u = _uint32_draws(seeds, excl.size + 2)
+    while True:
+        if cursor.max(initial=0) >= u.shape[1]:  # more rejections than the margin: draw on
+            u = _uint32_draws(seeds, 2 * u.shape[1])
+        x = np.take_along_axis(u, cursor, axis=1) * excl
+        rejected = (x & _LOW32) < threshold
+        if not rejected.any():
+            return (x >> np.uint64(32)).astype(np.intp)
+        first = np.where(rejected.any(axis=1), rejected.argmax(axis=1), excl.size)
+        cursor = cursor + (np.arange(excl.size) >= first[:, None])
+
+
+def prefix_hits(seeds, a: int, k: int, channels: int):
+    """(positions, sign bits), each (rows, channels, k): per seed, what `default_rng(seed)`
+    draws for `channels` rounds of `choice(a, k, replace=False)` then `integers(2, size=k)`.
+
+    One pass over all rows replays numpy's `choice`: Floyd's algorithm (for j in
+    a-k..a-1 take bounded(j), or j if that is taken) then a shuffle of the k
+    picks, or, when a > 10000 and k > a // 50, a shuffle of the tail of
+    arange(a). Each shuffle swaps i with bounded(i) for i downwards.
+    """
+    floyd = a <= 10000 or k <= a // 50
+    picks = range(a - k, a) if floyd else range(0)
+    swaps = range(k - 1, 0, -1) if floyd else range(a - 1, max(a - k, 1) - 1, -1)
+    per_channel = [*picks, *swaps, *[1] * k]
+    width = len(per_channel)
+    draws = _bounded(seeds, per_channel * channels).reshape(len(seeds) * channels, width)
+    rows = np.arange(draws.shape[0])
+    chosen = np.empty((rows.size, k), np.intp) if floyd else np.tile(np.arange(a), (rows.size, 1))
+    for t, j in enumerate(picks):
+        chosen[:, t] = np.where((chosen[:, :t] == draws[:, t, None]).any(axis=1), j, draws[:, t])
+    for t, i in enumerate(swaps, len(picks)):
+        top = chosen[:, i].copy()
+        chosen[:, i] = chosen[rows, draws[:, t]]
+        chosen[rows, draws[:, t]] = top
+    shape = (len(seeds), channels, k)
+    return chosen[:, chosen.shape[1] - k :].reshape(shape), draws[:, width - k :].reshape(shape)
+
+
 def contaminate_errors(
     padded_errors: np.ndarray,
     forecasts: np.ndarray,
@@ -141,26 +213,29 @@ def contaminate_errors(
 ) -> np.ndarray:
     """Replace a fraction of each window's prefix observations by large outliers.
 
-    Fields are (n, H, d). For window i, per channel, ceil(ratio * a_i)
-    prefix positions are drawn without replacement from
-    `default_rng(rng_seeds[i])` (so bit-reproducible) and the observed value
-    there is replaced by +-OUTLIER_MAGNITUDE * sigma_channel with a uniform
-    random sign. Returns the padded prefix errors rebuilt from the corrupted
-    observations; evaluation targets are never touched.
+    Fields are (n, H, d). For window i with prefix length a_i > 0, per
+    channel in turn, k = ceil(ratio * a_i) prefix positions are drawn as
+    `default_rng(rng_seeds[i]).choice(a_i, k, replace=False)` and their signs
+    as `.integers(2, size=k)`; the observed value there becomes
+    +-OUTLIER_MAGNITUDE * sigma_channel. The draws are replayed from each
+    window's raw `PCG64(rng_seeds[i])` stream, one pass per prefix length
+    (`prefix_hits`), so they are bit-reproducible. Returns the padded prefix
+    errors rebuilt from the corrupted observations; evaluation targets are
+    never touched.
     """
     if not 0.0 <= ratio <= 1.0:
         raise InvalidRatioError(f"contamination ratio must be in [0, 1], got {ratio}")
     n, horizon, channels = forecasts.shape
     sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (channels,))
     observed = padded_errors + forecasts
-    for i, (a, seed) in enumerate(zip(lengths, rng_seeds)):
-        n_hit = math.ceil(ratio * a)
-        rng = np.random.default_rng(seed)
-        for c in range(channels):
-            pos = rng.choice(a, size=n_hit, replace=False)
-            signs = _SIGNS[rng.integers(2, size=n_hit)]
-            observed[i, pos, c] = signs * OUTLIER_MAGNITUDE * sigma[c]
-    inside = np.arange(horizon) < np.asarray(lengths)[:, None]
+    lengths = np.asarray(lengths)
+    for a in np.unique(lengths[lengths > 0]).tolist():
+        rows = np.flatnonzero(lengths == a)
+        pos, bits = prefix_hits([rng_seeds[i] for i in rows], a, math.ceil(ratio * a), channels)
+        column = np.arange(channels)[:, None]
+        outliers = _SIGNS[bits] * OUTLIER_MAGNITUDE * sigma[column]
+        observed[rows[:, None, None], pos, column] = outliers
+    inside = np.arange(horizon) < lengths[:, None]
     return np.where(inside[..., None], observed - forecasts, 0.0)
 
 

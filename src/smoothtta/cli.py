@@ -240,6 +240,7 @@ def cmd_contaminate(args) -> int:
     write_rows(rows, out / "contamination.csv")
     for r, rep in summary.reports.items():
         write_metrics_csv(rep, out / f"metrics_ratio_{r:g}.csv")
+        write_manifest(rep, out / f"manifest_ratio_{r:g}.json")
     print(json.dumps({"degradation": summary.degradation,
                       "zero_shot_identical": summary.zero_shot_identical,
                       "rows": rows}, indent=2))
@@ -289,6 +290,7 @@ def cmd_sparse_anchor(args) -> int:
             ratio=r, support=args.support, eval_steps=eval_steps,
         )
         write_metrics_csv(report, out / f"metrics_ratio_{r:g}.csv")
+        write_manifest(report, out / f"manifest_ratio_{r:g}.json")
         rows.append(report.summary_row(ratio=r))
     write_rows(rows, out / "summary.csv")
     print(json.dumps(rows, indent=2))

@@ -47,7 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backbones import predict_batch
-from .boundary import PrefixBoundary, contaminate_errors, estimate_periods, select_prefix_length
+from .boundary import (PrefixBoundary, contaminate_errors, derive_seeds, estimate_periods,
+                       prefix_hits, select_prefix_length)
 from .chain import build_transfer_operator
 from .config import RolloutConfig
 from .data import DataError, Dataset
@@ -266,9 +267,8 @@ def _boundaries(X, forecasts, residuals, windows, config: RolloutConfig,
         masks = np.zeros((n, H))
         if count == 0:  # nothing revealed: zero-shot windows
             return np.zeros(n, dtype=int), masks, np.zeros_like(residuals)
-        for row, i in enumerate(windows.tolist()):
-            rng = np.random.default_rng([config.seed, 104729, i])
-            masks[row, rng.choice(support, size=count, replace=False)] = 1.0
+        keys = [[config.seed, 104729, i] for i in windows.tolist()]
+        masks[np.arange(n)[:, None], prefix_hits(keys, support, count, 1)[0][:, 0]] = 1.0
         return np.full(n, support), masks, np.where(masks[..., None] > 0, residuals, 0.0)
 
     if config.prefix_mode == "fixed":
@@ -281,8 +281,7 @@ def _boundaries(X, forecasts, residuals, windows, config: RolloutConfig,
     padded = np.where(masks[..., None] > 0, residuals, 0.0)
     if contamination_ratio > 0:
         hit = np.flatnonzero(lengths > 0)
-        seeds = [int(np.random.default_rng([config.seed, 15485863, i]).integers(2**31))
-                 for i in windows[hit].tolist()]
+        seeds = derive_seeds([[config.seed, 15485863, i] for i in windows[hit].tolist()])
         padded[hit] = contaminate_errors(padded[hit], forecasts[hit], lengths[hit],
                                          contamination_ratio, contamination_sigma, seeds)
     return lengths, masks, padded
@@ -410,9 +409,12 @@ def rollout(
     +-6 sigma, `anchors=(support, count)` switches to sparse-anchor
     boundaries, `headline_slice` restricts the headline metrics to a step
     range and `extra_slices` adds named step-range metrics (near/far
-    fields). All metrics are computed against clean targets.
+    fields). All metrics are computed against clean targets. Anchors replace
+    the prefix that contamination corrupts, so the two cannot be combined.
     """
     config.validate()
+    if anchors is not None and contamination_ratio > 0:
+        raise ValueError("rollout takes contamination_ratio or anchors, not both")
     s = config.solver
     H = config.horizon
     schedule = s.schedule()

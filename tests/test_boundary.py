@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smoothtta import boundary
 from smoothtta.boundary import (
     InvalidRatioError,
     OUTLIER_MAGNITUDE,
     build_boundary,
     contaminate_errors,
     contaminate_prefix,
+    derive_seeds,
     empty_boundary,
     estimate_dominant_period,
+    prefix_hits,
     select_prefix_length,
 )
 
@@ -178,3 +181,147 @@ def test_contamination_draws_the_positions_and_signs_of_rng_choice(seed, ratio, 
     zeros = np.zeros((1, horizon, channels))
     out = contaminate_errors(zeros, zeros, [length], ratio, np.ones(channels), [seed])[0]
     assert np.array_equal(out, expected)
+
+
+def _contaminate_errors_loop(padded_errors, forecasts, lengths, ratio, sigma, rng_seeds):
+    """The per-window, per-channel `Generator` loop that `contaminate_errors` replays."""
+    n, horizon, channels = forecasts.shape
+    sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (channels,))
+    observed = padded_errors + forecasts
+    for i, (a, seed) in enumerate(zip(lengths, rng_seeds)):
+        n_hit = math.ceil(ratio * a)
+        rng = np.random.default_rng(seed)
+        for c in range(channels):
+            pos = rng.choice(a, size=n_hit, replace=False)
+            signs = np.array([-1.0, 1.0])[rng.integers(2, size=n_hit)]
+            observed[i, pos, c] = signs * OUTLIER_MAGNITUDE * sigma[c]
+    inside = np.arange(horizon) < np.asarray(lengths)[:, None]
+    return np.where(inside[..., None], observed - forecasts, 0.0)
+
+
+def _replay(stream, a, k, channels):
+    """Scalar replay, from one row's uint32 draws, of `channels` rounds of
+    `choice(a, k, replace=False)` then `integers(2, size=k)`."""
+    draws = iter(int(u) for u in stream)
+
+    def bounded(m):  # Lemire's method; bounded(0) draws nothing
+        while m:
+            x = next(draws) * (m + 1)
+            if x % 2**32 >= (2**32 - (m + 1)) % (m + 1):
+                return x >> 32
+        return 0
+
+    rounds = []
+    for _ in range(channels):
+        if a <= 10000 or k <= a // 50:  # Floyd's algorithm, then a shuffle of the picks
+            picks = []
+            for j in range(a - k, a):
+                v = bounded(j)
+                picks.append(j if v in picks else v)
+            swaps = range(k - 1, 0, -1)
+        else:  # a tail shuffle of arange(a)
+            picks = list(range(a))
+            swaps = range(a - 1, max(a - k, 1) - 1, -1)
+        for i in swaps:
+            j = bounded(i)
+            picks[i], picks[j] = picks[j], picks[i]
+        rounds.append((picks[len(picks) - k:], [bounded(1) for _ in range(k)]))
+    return rounds
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 30),
+    ratio=st.one_of(st.sampled_from([1.0, 1e-12, 0.5 / 40]), st.floats(0.0, 1.0)),
+    channels=st.integers(1, 7),
+)
+def test_contaminate_errors_equals_the_per_window_generator_loop(data, n, ratio, channels):
+    lengths = data.draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
+    seeds = data.draw(st.lists(st.integers(0, 2**63), min_size=n, max_size=n))
+    rng = np.random.default_rng(n)
+    padded, forecasts = rng.standard_normal((2, n, 43, channels))
+    sigma = rng.uniform(0.5, 2.0, channels)
+    out = contaminate_errors(padded, forecasts, lengths, ratio, sigma, seeds)
+    expected = _contaminate_errors_loop(padded, forecasts, lengths, ratio, sigma, seeds)
+    assert out.tobytes() == expected.tobytes()
+    assert not out[np.asarray(lengths) == 0].any()
+
+
+def test_tail_shuffle_branch_matches_rng_choice():
+    a, k = 10001, 301  # a > 10000 and k > a // 50: numpy shuffles the tail of arange(a)
+    positions, bits = prefix_hits([7, 2**63], a, k, 2)
+    for row, seed in enumerate([7, 2**63]):
+        rng = np.random.default_rng(seed)
+        for c in range(2):
+            assert positions[row, c].tolist() == rng.choice(a, size=k, replace=False).tolist()
+            assert bits[row, c].tolist() == rng.integers(2, size=k).tolist()
+    padded = np.random.default_rng(0).standard_normal((1, a, 1))
+    out = contaminate_errors(padded, padded, [a], k / a, np.ones(1), [11])
+    expected = _contaminate_errors_loop(padded, padded, [a], k / a, np.ones(1), [11])
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_rejections_of_a_huge_population_match_rng_choice():
+    # bounded(j) for j + 1 near 3 * 2**30 rejects about one draw in four
+    a = 3 * 2**30
+    positions, bits = prefix_hits(list(range(20)), a, 6, 3)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        for c in range(3):
+            assert positions[seed, c].tolist() == rng.choice(a, size=6, replace=False).tolist()
+            assert bits[seed, c].tolist() == rng.integers(2, size=6).tolist()
+
+
+@pytest.mark.parametrize("a, k", [(24, 3), (40, 40), (10001, 301)])
+def test_scalar_replay_matches_rng_choice(a, k):
+    stream = boundary._uint32_draws([5], 8 * (a + k))[0]
+    rng = np.random.default_rng(5)
+    for picks, bits in _replay(stream, a, k, 2):
+        assert picks == rng.choice(a, size=k, replace=False).tolist()
+        assert bits == rng.integers(2, size=k).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.integers(1, 40),
+    ratio=st.floats(0.01, 1.0),
+    channels=st.integers(1, 3),
+    row=st.integers(0, 2),
+    at=st.integers(0, 60),
+    values=st.lists(st.sampled_from([0, 178956971, 2**32 - 1, 2**31]), min_size=1, max_size=3),
+)
+def test_injected_uint32_draws_match_a_scalar_replay(a, ratio, channels, row, at, values):
+    # 0 is rejected by every bound m with m + 1 not a power of two; 178956971 by m + 1 = 24
+    k = math.ceil(ratio * a)
+    real = boundary._uint32_draws
+
+    def injected(seeds, n):
+        u = real(seeds, max(n, at + len(values)))
+        u[row, at : at + len(values)] = values
+        return u
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(boundary, "_uint32_draws", injected)
+        positions, bits = prefix_hits([1, 2, 3], a, k, channels)
+    stream = injected([1, 2, 3], 8 * channels * (a + k) + 8)
+    for r in range(3):
+        for c, (picks, signs) in enumerate(_replay(stream[r], a, k, channels)):
+            assert positions[r, c].tolist() == picks
+            assert bits[r, c].tolist() == signs
+
+
+def test_an_injected_rejection_moves_the_row_cursor(monkeypatch):
+    # u = 178956971 is rejected for m + 1 = 24: Floyd's last step (j = 23) draws again
+    real = boundary._uint32_draws
+    clean = prefix_hits([9], 24, 3, 1)
+    monkeypatch.setattr(boundary, "_uint32_draws",
+                        lambda seeds, n: np.insert(real(seeds, n), 2, 178956971, axis=1))
+    assert all(np.array_equal(x, y) for x, y in zip(prefix_hits([9], 24, 3, 1), clean))
+
+
+@settings(max_examples=30, deadline=None)
+@given(base=st.integers(0, 2**63), windows=st.lists(st.integers(0, 10**6), min_size=1, max_size=8))
+def test_derived_seeds_equal_the_first_generator_draw(base, windows):
+    keys = [[base, 15485863, i] for i in windows]
+    assert derive_seeds(keys) == [int(np.random.default_rng(k).integers(2**31)) for k in keys]

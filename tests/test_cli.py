@@ -302,6 +302,22 @@ def test_sparse_anchor_command(workdir):
     assert (workdir / "run_sa/sparse-anchor/summary.csv").exists()
 
 
+@pytest.mark.parametrize("command, extra, ratios", [
+    ("contaminate", [], ("0", "0.1")),
+    ("sparse-anchor", ["--support", "4", "--eval", "5:8"], ("0.25", "0.5")),
+])
+def test_grids_write_one_manifest_per_ratio(workdir, capsys, command, extra, ratios):
+    out = f"run_manifests_{command}"
+    assert _in_process(workdir, command, *extra, "--ratios", ",".join(ratios), out=out) == 0
+    capsys.readouterr()
+    for r in ratios:
+        manifest = json.loads((workdir / out / command / f"manifest_ratio_{r}.json").read_text())
+        rows = (workdir / out / command / f"metrics_ratio_{r}.csv").read_text().splitlines()
+        assert manifest["n_windows"] == len(rows) - 1
+        for key in ("rollout_seconds", "worker_busy_seconds", "caller_wait_seconds"):
+            assert manifest["timing"][key] >= 0.0
+
+
 def test_sweep_command(workdir):
     res = _run(
         ["sweep", "--data", "toy.csv", *COMMON, "--parameter", "memory_decay",

@@ -197,6 +197,24 @@ def test_zero_prefix_override_reduces_to_zero_shot(small_fixture):
         assert row["mse_corrected"] == row["mse_base"]
 
 
+def test_contamination_and_anchors_cannot_be_combined(small_fixture):
+    fx = small_fixture
+    with pytest.raises(ValueError, match="contamination_ratio.*anchors"):
+        rollout(fx.backbone, fx.dataset, fx.config, None, anchors=(12, 3),
+                contamination_ratio=0.5)
+    clean = rollout(fx.backbone, fx.dataset, fx.config, None, anchors=(12, 3),
+                    contamination_ratio=0.0)
+    assert clean.rows == rollout(fx.backbone, fx.dataset, fx.config, None, anchors=(12, 3)).rows
+
+
+def test_contamination_of_zero_shot_windows_draws_nothing(small_fixture):
+    cfg = copy.deepcopy(small_fixture.config)
+    cfg.set_prefix(0)
+    fx = small_fixture
+    clean = rollout(fx.backbone, fx.dataset, cfg, None)
+    assert rollout(fx.backbone, fx.dataset, cfg, None, contamination_ratio=0.5).rows == clean.rows
+
+
 def test_fixed_prefix_mode(small_fixture):
     fx = small_fixture
     cfg = copy.deepcopy(fx.config)
