@@ -100,10 +100,10 @@ def fit_linear_backbone(
         targets = np.lib.stride_tricks.sliding_window_view(col, horizon)[starts + lookback]
         x_mean = X.mean(axis=0)
         t_mean = targets.mean(axis=0)
-        Xc = X - x_mean
-        Tc = targets - t_mean
-        G = Xc.T @ Xc + ridge_strength * np.eye(lookback)
-        W = np.linalg.solve(G, Xc.T @ Tc)
+        X -= x_mean  # both are fancy-indexed copies: centre them in place
+        targets -= t_mean
+        G = X.T @ X + ridge_strength * np.eye(lookback)
+        W = np.linalg.solve(G, X.T @ targets)
         weights[c] = W
         intercepts[c] = t_mean - x_mean @ W
     return LinearForecaster(lookback, horizon, weights, intercepts)
@@ -181,7 +181,7 @@ def save_backbone(forecaster: LinearForecaster, path) -> None:
 
 
 def load_backbone(path) -> LinearForecaster:
-    """The saved linear backbone; ValueError if the header and blocks disagree."""
+    """The saved linear backbone; ValueError on a header/block mismatch or a non-finite value."""
     header, blocks = paramio.load_blocks(path)
     if header.get("kind") != "linear":
         raise ValueError(f"unsupported backbone kind {header.get('kind')!r}")
@@ -189,4 +189,7 @@ def load_backbone(path) -> LinearForecaster:
     shapes = {name: arr.shape for name, arr in blocks.items()}
     if shapes != {"weights": (d, L, H), "intercepts": (d, H)}:
         raise ValueError(f"blocks {shapes} do not fit the header's (L, H, d) = {(L, H, d)}")
+    for name, arr in blocks.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} contains non-finite values")
     return LinearForecaster(L, H, blocks["weights"], blocks["intercepts"])

@@ -8,9 +8,11 @@ correction target, and frozen during rollout. Backpropagation is written out
 by hand and guarded by a central finite-difference gradient check.
 
 Training multiplies the dense `build_features` rows in its forward pass and
-for the W1 gradient, so those products round as a dense network's do. AdamW
-then carries moments only for the W1 columns with a nonzero feature in some
-training row; the other columns get an exactly-zero gradient and only decay.
+for the W1 gradient, so those products round as a dense network's do; the
+clip norm squares that dense gradient in place. AdamW then carries moments
+only for the W1 columns with a nonzero feature in some training row, in
+blocks of `_ADAM_BLOCK` (32768) entries; the other columns get an
+exactly-zero gradient and only decay, all their steps after the loop.
 Inference (`decode_batch`) skips the zero padded-error and mask columns past
 the last observed step, and multiplies the mask and context blocks once per
 window, not once per channel.
@@ -36,6 +38,8 @@ _INPUTS = ("forecast", "local_field", "padded_error", "mask", "memory_template",
 
 # Gradient-gate budget for one chunk of hidden-layer probes: their moved error terms.
 _PROBE_CHUNK_BYTES = 2 << 20
+# Entries per block of AdamW's element-wise update (256 KiB of float64 per scratch buffer).
+_ADAM_BLOCK = 1 << 15
 
 
 class UntrainedDecoderError(RuntimeError):
@@ -399,15 +403,20 @@ def train_decoder(
     AdamW's moments and arithmetic cover only the "used" W1 columns, those
     with a nonzero feature in some row, packed side by side. Each other
     column's gradient is +-0 at every step, so its update is the weight
-    decay alone, in the same operations the full update would apply. The
-    forward pass and the W1 gradient stay dense products: a product over the
-    used columns alone lets the BLAS split its reductions at other points and
-    changes the last bits. The gradient norm also sums the dense W1 layout,
-    since pairwise summation without the zeros rounds differently and would
-    move the clip scale. The trained weights and loss trace are therefore
-    bit-identical to a dense AdamW's. Logs one INFO event on
-    this module's logger with the gate's worst relative error, the number of
-    samples it checked, and the wall times of the gate and the optimizer.
+    decay alone, in the same operations the full update would apply; as its
+    weight meets only +-0 features and decay never flips its sign, its
+    updates, one per step, run after the loop. The forward pass and the W1
+    gradient stay dense products: a product over the used columns alone lets
+    the BLAS split its reductions at other points and changes the last bits.
+    The gradient norm also sums the dense W1 layout, squared in place once
+    the used columns are packed, since pairwise summation without the zeros
+    rounds differently and would move the clip scale. AdamW runs over blocks
+    of `_ADAM_BLOCK` = 32768 entries with two block-sized scratch buffers,
+    and its state is freed before the frozen copy is built. The trained
+    weights and loss trace are therefore bit-identical to a dense AdamW's.
+    Logs one INFO event on this module's logger with the gate's worst
+    relative error, the number of samples it checked, and the wall times of
+    the gate and the optimizer.
     """
     cfg = config or TrainConfig()
     n = features.shape[0]
@@ -442,16 +451,14 @@ def train_decoder(
     W1 = weights["W1"]
     used = features.any(axis=0)  # W1 columns with a nonzero feature in some row
     packed = _packed_runs(used)
-    dead = [cols for cols, _ in _packed_runs(~used)]
     # the arrays AdamW updates: W1's used columns, packed, and the other blocks
     # (a boolean column index returns a column-major copy; Adam wants row-major)
     opt = dict(weights, W1=np.ascontiguousarray(W1[:, used]))
     g_used = np.empty_like(opt["W1"])
-    w1_sq = np.zeros_like(W1)  # squared W1 gradient; the dead columns stay +0
     m = {k: np.zeros_like(w) for k, w in opt.items()}
     v = {k: np.zeros_like(w) for k, w in opt.items()}
-    largest = max([w.size for w in opt.values()] + [W1[:, cols].size for cols in dead])
-    scratch = np.empty(largest), np.empty(largest)
+    # a block of AdamW entries, or a decay-only column run of at least one W1 row
+    scratch = [np.empty(min(W1.size, max(_ADAM_BLOCK, W1.shape[1]))) for _ in range(2)]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     trace: list[float] = []
@@ -459,10 +466,10 @@ def train_decoder(
     # Each step evaluates, in place and in this operation order,
     #   m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g**2
     #   w = w - lr * ((m / bc1) / (sqrt(v / bc2) + eps) + wd * w)
-    # so it rounds exactly like the same expression written out of place.
-    # A dead W1 column's gradient is a sum of products with zero features: it
-    # is +-0 at every step, so its m and v would stay +0 and its Adam term +0.
-    # Its update is therefore w - lr * (wd * w + 0), applied without moments.
+    # element-wise over blocks, so it rounds like that expression written out
+    # of place. A dead W1 column's gradient is +-0 at every step: its m, v and
+    # Adam term would stay +0. Its weight meets only +-0 features and decay
+    # never flips its sign, so its `step` updates w - lr * (wd * w + 0) run last.
     batch_size = max(1, -(-n // cfg.max_batches))  # ceil: covers the set in <= max_batches
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
@@ -477,16 +484,13 @@ def train_decoder(
             epoch_losses.append(loss)
 
             for cols, at in packed:
-                np.square(grads["W1"][:, cols], out=w1_sq[:, cols])
                 g_used[:, at] = grads["W1"][:, cols]
-            grads["W1"] = g_used
+            # the norm sums W2, b2, W1, b1 in that order, W1 dense (its dead
+            # columns square to +0): pairwise sums without the zeros round differently
             total_sq = 0
             for name, g in grads.items():
-                if name == "W1":
-                    sq = w1_sq  # dense: pairwise sums without the zeros round differently
-                else:
-                    sq = np.square(g, out=scratch[0][: g.size].reshape(g.shape))
-                total_sq += float(np.sum(sq))
+                total_sq += float(np.sum(np.square(g, out=g) if name == "W1" else np.square(g)))
+            grads["W1"] = g_used
             norm = np.sqrt(total_sq)
             scale = cfg.grad_clip / norm if norm > cfg.grad_clip else 1.0
 
@@ -494,36 +498,42 @@ def train_decoder(
             bc1 = 1.0 - beta1**step
             bc2 = 1.0 - beta2**step
             for name, w in opt.items():
-                g, mk, vk = grads[name], m[name], v[name]
-                a, b = (buf[: w.size].reshape(w.shape) for buf in scratch)
-                if scale != 1.0:
-                    g *= scale
-                np.multiply(g, 1 - beta1, out=a)
-                mk *= beta1
-                mk += a
-                np.square(g, out=a)
-                a *= 1 - beta2
-                vk *= beta2
-                vk += a
-                np.divide(vk, bc2, out=a)
-                np.sqrt(a, out=a)
-                a += eps
-                np.divide(mk, bc1, out=b)
-                b /= a
-                np.multiply(w, cfg.weight_decay, out=a)
-                a += b
-                a *= cfg.learning_rate
-                w -= a
+                flat = [x.reshape(-1) for x in (w, grads[name], m[name], v[name])]  # views
+                for lo in range(0, w.size, _ADAM_BLOCK):
+                    wb, g, mk, vk = (x[lo : lo + _ADAM_BLOCK] for x in flat)
+                    a, b = (buf[: wb.size] for buf in scratch)
+                    if scale != 1.0:
+                        g *= scale
+                    np.multiply(g, 1 - beta1, out=a)
+                    mk *= beta1
+                    mk += a
+                    np.square(g, out=a)
+                    a *= 1 - beta2
+                    vk *= beta2
+                    vk += a
+                    np.divide(vk, bc2, out=a)
+                    np.sqrt(a, out=a)
+                    a += eps
+                    np.divide(mk, bc1, out=b)
+                    b /= a
+                    np.multiply(wb, cfg.weight_decay, out=a)
+                    a += b
+                    a *= cfg.learning_rate
+                    wb -= a
             for cols, at in packed:
                 W1[:, cols] = opt["W1"][:, at]
-            for cols in dead:
-                w = W1[:, cols]
-                a = scratch[0][: w.size].reshape(w.shape)
+        trace.append(float(np.mean(epoch_losses)))
+    for cols, _ in _packed_runs(~used):
+        rows = max(1, _ADAM_BLOCK // (cols.stop - cols.start))
+        for lo in range(0, W1.shape[0], rows):
+            w = W1[lo : lo + rows, cols]
+            a = scratch[0][: w.size].reshape(w.shape)
+            for _ in range(step):
                 np.multiply(w, cfg.weight_decay, out=a)
                 a += 0.0  # the Adam term: keeps a -0.0 weight at -0.0
                 a *= cfg.learning_rate
                 w -= a
-        trace.append(float(np.mean(epoch_losses)))
+    opt = m = v = g_used = grads = None  # free the optimizer state before the frozen copy
     trained = replace(params, **weights)
     logger.info(
         "decoder trained: gradient gate max relative error %.3e over %d samples in %.3f s, "

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 
@@ -43,29 +44,33 @@ def load_blocks(path) -> tuple[dict, dict[str, np.ndarray]]:
     bytes the manifest declares.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != MAGIC:
-        raise ValueError(f"not a parameter container (bad magic {raw[:4]!r})")
-    offset = 12 + int.from_bytes(raw[4:12], "little")
-    head = json.loads(raw[12:offset].decode("utf-8"))
-    if not isinstance(head, dict):
-        raise ValueError(f"header is a JSON {type(head).__name__}, not an object")
-    version = head.pop("_format_version", None)
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported container version {version}")
-    manifest = head.pop("_blocks", None)
-    if not (isinstance(manifest, list) and all(map(_is_entry, manifest))):
-        raise ValueError(f"malformed block manifest {manifest!r:.60}")
-    counts = [math.prod(entry["shape"]) for entry in manifest]
-    if offset + 8 * sum(counts) != len(raw):
-        raise ValueError(
-            f"payload has {len(raw) - offset} bytes, the manifest declares {8 * sum(counts)}"
-        )
-    blocks = {}
-    for entry, count in zip(manifest, counts):
-        data = np.frombuffer(raw, dtype=np.float64, count=count, offset=offset)
-        blocks[entry["name"]] = data.reshape(entry["shape"]).copy()
-        offset += 8 * count
+        size = os.fstat(fh.fileno()).st_size
+        magic = fh.read(4)
+        if magic != MAGIC:
+            raise ValueError(f"not a parameter container (bad magic {magic!r})")
+        offset = 12 + int.from_bytes(fh.read(8), "little")
+        if offset > size:
+            raise ValueError(f"header of {offset - 12} bytes runs past the end of the file")
+        head = json.loads(fh.read(offset - 12).decode("utf-8"))
+        if not isinstance(head, dict):
+            raise ValueError(f"header is a JSON {type(head).__name__}, not an object")
+        version = head.pop("_format_version", None)
+        if version != FORMAT_VERSION:
+            raise ValueError(f"unsupported container version {version}")
+        manifest = head.pop("_blocks", None)
+        if not (isinstance(manifest, list) and all(map(_is_entry, manifest))):
+            raise ValueError(f"malformed block manifest {manifest!r:.60}")
+        counts = [math.prod(entry["shape"]) for entry in manifest]
+        if offset + 8 * sum(counts) != size:
+            raise ValueError(
+                f"payload has {size - offset} bytes, the manifest declares {8 * sum(counts)}"
+            )
+        blocks = {}
+        for entry, count in zip(manifest, counts):
+            data = np.empty(count, dtype=np.float64)  # each block read straight into its array
+            if fh.readinto(data) != data.nbytes:
+                raise ValueError(f"block {entry['name']!r} ends early: the file changed while read")
+            blocks[entry["name"]] = data.reshape(entry["shape"])
     return head, blocks
 
 

@@ -521,6 +521,15 @@ def train_decoder_for(
 ) -> tuple[DecoderParams, list[float]]:
     """Initialize and fit a decoder from simulated rollouts over one split.
 
+    `training_set_for` builds the samples and `fit_decoder` trains on them;
+    callers that must not hold the backbone while training call the two.
+    """
+    return fit_decoder(training_set_for(backbone, dataset, config, part), config, train_config)
+
+
+def training_set_for(backbone, dataset: Dataset, config: RolloutConfig, part: str = "val"):
+    """`build_decoder_training_set`, logged.
+
     Logs the training-set build time and, per FEATURE_LAYOUT block, the
     number of columns that are zero in every row (their W1 columns only decay
     in training) on the `smoothtta.decoder` logger, next to `train_decoder`'s
@@ -540,6 +549,11 @@ def train_decoder_for(
         ", ".join(f"{name} {int(zero[cols].sum())}/{cols.stop - cols.start}"
                   for name, cols in blocks.items()),
     )
+    return feats, targets, locals_, gate
+
+
+def fit_decoder(trainset, config: RolloutConfig, train_config: TrainConfig | None = None):
+    """A decoder initialized for `config`, fit on a `training_set_for` result by `train_decoder`."""
     params = init_params(
         horizon=config.horizon,
         context_size=config.solver.context_size,
@@ -547,8 +561,7 @@ def train_decoder_for(
         output_scale=config.solver.global_scale,
         seed=config.seed,
     )
-    cfg = train_config or TrainConfig(seed=config.seed)
-    return train_decoder(params, feats, targets, locals_, gate, cfg)
+    return train_decoder(params, *trainset, train_config or TrainConfig(seed=config.seed))
 
 
 def _format_value(v) -> str:

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothtta.backbones import (
     BiasedOracleForecaster,
@@ -162,3 +164,42 @@ def test_linear_backbone_digest_is_the_sha256_of_the_parameter_bytes():
     md = hashlib.sha256(fc.weights.tobytes())
     md.update(fc.intercepts.tobytes())
     assert fc.param_digest() == md.hexdigest()
+
+
+def _old_fit(train_series, lookback, horizon, ridge_strength):
+    """The fit as it was, centring copies of the windows: the oracle for the in-place centring."""
+    Y = np.asarray(train_series, dtype=float)
+    starts = np.arange(Y.shape[0] - lookback - horizon + 1)
+    weights, intercepts = [], []
+    for col in Y.T:
+        X = np.lib.stride_tricks.sliding_window_view(col, lookback)[starts]
+        targets = np.lib.stride_tricks.sliding_window_view(col, horizon)[starts + lookback]
+        x_mean = X.mean(axis=0)
+        t_mean = targets.mean(axis=0)
+        Xc = X - x_mean
+        Tc = targets - t_mean
+        G = Xc.T @ Xc + ridge_strength * np.eye(lookback)
+        W = np.linalg.solve(G, Xc.T @ Tc)
+        weights.append(W)
+        intercepts.append(t_mean - x_mean @ W)
+    return np.array(weights), np.array(intercepts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    lookback=st.integers(1, 24),
+    horizon=st.integers(1, 24),
+    extra=st.integers(0, 60),
+    channels=st.integers(1, 3),
+    ridge=st.sampled_from([1e-9, 1e-3, 1.0, 1e6]),
+    seed=st.integers(0, 2**16),
+)
+def test_linear_backbone_fit_matches_the_copying_fit_bit_for_bit(
+    lookback, horizon, extra, channels, ridge, seed
+):
+    rng = np.random.default_rng(seed)
+    series = rng.standard_normal((lookback + horizon + extra, channels)).cumsum(axis=0)
+    fc = fit_linear_backbone(series, lookback, horizon, ridge)
+    weights, intercepts = _old_fit(series, lookback, horizon, ridge)
+    assert fc.weights.tobytes() == weights.tobytes()
+    assert fc.intercepts.tobytes() == intercepts.tobytes()

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smoothtta
+import smoothtta.backbones as bb
 import smoothtta.decoder as dec
 from smoothtta import cli, paramio
 
@@ -716,6 +717,34 @@ def test_a_malformed_backbone_file_exits_2(workdir, capsys, case):
             "--decoder", str(workdir / "decoder.params"), "--out-dir", str(workdir / "run_bad")]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("configuration error: bad backbone file")
+
+
+@pytest.mark.parametrize("ridge", ["nan", "inf", "-1", "0"])
+def test_fit_backbone_rejects_a_ridge_that_is_not_finite_and_positive(workdir, capsys, ridge):
+    # a constant channel makes the unridged normal matrix singular: 0 must stop at the flag
+    csv = workdir / "constant_channel.csv"
+    csv.write_text("".join(f"{np.sin(t / 3):.6f},1.0\n" for t in range(300)))
+    out = workdir / f"ridge_{ridge}.params"
+    argv = ["fit-backbone", "--data", str(csv), *COMMON, f"--ridge={ridge}", "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --ridge ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("block, value", [("weights", np.nan), ("intercepts", np.inf)])
+def test_a_backbone_with_a_non_finite_value_exits_2(workdir, capsys, block, value):
+    fitted = bb.load_backbone(workdir / "backbone.params")
+    arrays = {"weights": np.array(fitted.weights), "intercepts": np.array(fitted.intercepts)}
+    arrays[block].flat[3] = value
+    path = workdir / f"backbone_non_finite_{block}.params"
+    bb.save_backbone(bb.LinearForecaster(fitted.lookback, fitted.horizon, **arrays), path)
+    argv = ["rollout", "--data", str(workdir / "toy.csv"), *COMMON, "--backbone", str(path),
+            "--decoder", str(workdir / "decoder.params"), "--out-dir", str(workdir / "run_nan_bb")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: bad backbone file") and "non-finite" in err
+    assert not (workdir / "run_nan_bb").exists()
 
 
 def test_a_backbone_fitted_on_other_channels_exits_2(workdir, capsys):

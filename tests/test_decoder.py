@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -498,6 +499,20 @@ def test_used_column_adamw_matches_dense_reference_bit_for_bit(
     assert np.array(trace).tobytes() == np.array(expected_trace).tobytes()
 
 
+@pytest.mark.parametrize("block", [1, 7, 100])
+def test_blocked_adamw_matches_the_dense_reference_for_any_block_size(monkeypatch, block):
+    # blocks that split W1's rows, and decay-only column runs wider than a block
+    monkeypatch.setattr(dec, "_ADAM_BLOCK", block)
+    p, feats, target, local, gate = _training_set(n=40, d_seed=5)
+    feats[:, 2 * H + 2 : 3 * H] = 0.0  # padded error past step 2
+    feats[:, 4 * H :] = -0.0  # memory and context
+    cfg = TrainConfig(epochs=2, seed=4, grad_clip=1e-3, check_gradients=False)
+    trained, trace = train_decoder(p, feats, target, local, gate, cfg)
+    expected, expected_trace = reference.adamw(p, feats, target, local, gate, cfg)
+    assert trained.digest() == expected.digest()
+    assert trace == expected_trace
+
+
 def test_dead_column_keeps_a_negative_zero_weight():
     # the dense update adds Adam's +0 step before scaling: -0.0 stays -0.0
     p, feats, target, local, gate = _training_set(n=20, d_seed=4)
@@ -523,3 +538,35 @@ def test_training_logs_gate_and_optimizer(caplog):
     assert samples == 3
     assert steps == 2 * 15  # 60 samples in batches of ceil(60 / 16) = 4
     assert gate_s >= 0.0 and optimizer_s >= 0.0
+
+
+def test_training_peak_memory_stays_within_its_w1_sized_buffers():
+    # eval-h720's dead columns: memory and context zero, padded error and mask
+    # zero past the prefix. Above its inputs, training may hold the live W1,
+    # one dense W1 gradient, four packed copies of the used columns (weights,
+    # gradient, m, v), five of each other block (weights, gradient, m, v, a
+    # squared gradient for the norm), and half a W1 for the AdamW block
+    # scratch, the batch and its activations. The dense squared-gradient
+    # buffer and W1-sized scratch this replaced measured about 1.7 W1 more.
+    horizon, context, prefix = 360, 4, 8
+    p = init_params(horizon=horizon, context_size=context, hidden=256, seed=0)
+    rng = np.random.default_rng(0)
+    feats = rng.standard_normal((48, p.input_width))
+    blocks = dec.feature_blocks(horizon, context)
+    feats[:, blocks["memory"].start :] = 0.0
+    for name in ("padded_error", "mask"):
+        feats[:, blocks[name].start + prefix : blocks[name].stop] = 0.0
+    local = 0.1 * rng.standard_normal((48, horizon))
+    target = local + 0.3
+    gate = rng.uniform(0.0, 1.0, horizon)
+    used = feats.any(axis=0).mean()
+    others = p.b1.nbytes + p.W2.nbytes + p.b2.nbytes
+    bound = (2 + 4 * used + 0.5) * p.W1.nbytes + 5 * others
+
+    tracemalloc.start()
+    try:
+        train_decoder(p, feats, target, local, gate, TrainConfig(epochs=2, check_gradients=False))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"peak {peak / p.W1.nbytes:.2f} W1, bound {bound / p.W1.nbytes:.2f} W1"
