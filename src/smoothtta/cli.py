@@ -12,6 +12,7 @@ directory against which relative --data paths resolve.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
@@ -34,10 +35,10 @@ from .protocols import (
 )
 from .rollout import (
     ContractViolation,
+    decoder_shape,
     fit_decoder,
     rollout,
     train_decoder_for,
-    training_set_for,
     write_manifest,
     write_metrics_csv,
     write_rows,
@@ -161,12 +162,14 @@ def _prepare(args, need_decoder: bool = True):
     if need_decoder and cfg.solver.schedule().global_mix > 0:
         if args.decoder:
             decoder_params = _load_artifact(dec.load_params, args.decoder, "decoder")
-            trained = (decoder_params.horizon, decoder_params.context_size)
-            if trained != (cfg.horizon, cfg.solver.context_size):
-                raise ConfigError(
-                    f"decoder was trained for (H, context_size) = {trained}, run asks for "
-                    f"{(cfg.horizon, cfg.solver.context_size)}"
-                )
+            shape = decoder_shape(cfg)
+            trained = tuple(getattr(decoder_params, k) for k in shape)
+            asked = tuple(shape.values())
+            names = ("H", "context_size", "hidden_dim", "global_scale")
+            for n in (2, 4):  # the (H, context_size) check first, with its own message
+                if trained[:n] != asked[:n]:
+                    raise ConfigError(f"decoder was trained for ({', '.join(names[:n])}) = "
+                                      f"{trained[:n]}, run asks for {asked[:n]}")
         else:
             decoder_params, _ = train_decoder_for(backbone, ds, cfg)
     return cfg, ds, backbone, decoder_params
@@ -176,6 +179,12 @@ def _out_dir(args, name: str) -> Path:
     out = Path(args.out_dir) / name
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _write_report(report, out: Path, suffix: str = "") -> None:
+    """`metrics{suffix}.csv` and `manifest{suffix}.json` of one rollout in `out`."""
+    write_metrics_csv(report, out / f"metrics{suffix}.csv")
+    write_manifest(report, out / f"manifest{suffix}.json")
 
 
 def cmd_fit_backbone(args) -> int:
@@ -189,7 +198,10 @@ def cmd_fit_backbone(args) -> int:
 
 def cmd_train_decoder(args) -> int:
     cfg, ds, backbone, _ = _prepare(args, need_decoder=False)
-    trainset = training_set_for(backbone, ds, cfg)
+    # looked up at call time, so a patched or traced builder runs; through importlib,
+    # since the package binds the name `rollout` to the function
+    build = importlib.import_module("smoothtta.rollout").build_decoder_training_set
+    trainset = build(backbone, ds, cfg)
     del backbone  # 13.5 MB at L=336, H=720, d=7: not held while training
     params, trace = fit_decoder(trainset, cfg)
     dec.save_params(params, args.out, channels=ds.channels)
@@ -201,9 +213,7 @@ def cmd_train_decoder(args) -> int:
 def cmd_rollout(args) -> int:
     cfg, ds, backbone, decoder_params = _prepare(args)
     report = rollout(backbone, ds, cfg, decoder_params)
-    out = _out_dir(args, "rollout")
-    write_metrics_csv(report, out / "metrics.csv")
-    write_manifest(report, out / "manifest.json")
+    _write_report(report, _out_dir(args, "rollout"))
     agg = report.aggregate()
     print(json.dumps(report.summary(), indent=2, sort_keys=True))
     print(f"improvement over zero-shot: {agg.get('improvement', 0.0):+.2%}")
@@ -216,7 +226,7 @@ def cmd_ablate(args) -> int:
     out = _out_dir(args, "ablate")
     summary = []
     for name, report in reports.items():
-        write_metrics_csv(report, out / f"metrics_{name}.csv")
+        _write_report(report, out, f"_{name}")
         summary.append(report.summary_row(variant=name))
     write_rows(summary, out / "summary.csv")
     print(json.dumps(summary, indent=2))
@@ -246,8 +256,7 @@ def cmd_contaminate(args) -> int:
         row["degradation"] = summary.degradation
     write_rows(rows, out / "contamination.csv")
     for r, rep in summary.reports.items():
-        write_metrics_csv(rep, out / f"metrics_ratio_{r:g}.csv")
-        write_manifest(rep, out / f"manifest_ratio_{r:g}.json")
+        _write_report(rep, out, f"_ratio_{r:g}")
     print(json.dumps({"degradation": summary.degradation,
                       "zero_shot_identical": summary.zero_shot_identical,
                       "rows": rows}, indent=2))
@@ -274,9 +283,7 @@ def cmd_sparse_boundary(args) -> int:
     report = run_sparse_boundary(
         backbone, ds, cfg, decoder_params, k=args.k, near_steps=near, far_steps=far
     )
-    out = _out_dir(args, "sparse-boundary")
-    write_metrics_csv(report, out / "metrics.csv")
-    write_manifest(report, out / "manifest.json")
+    _write_report(report, _out_dir(args, "sparse-boundary"))
     print(json.dumps(report.extra, indent=2, sort_keys=True))
     return 0
 
@@ -296,8 +303,7 @@ def cmd_sparse_anchor(args) -> int:
             backbone, ds, cfg, decoder_params,
             ratio=r, support=args.support, eval_steps=eval_steps,
         )
-        write_metrics_csv(report, out / f"metrics_ratio_{r:g}.csv")
-        write_manifest(report, out / f"manifest_ratio_{r:g}.json")
+        _write_report(report, out, f"_ratio_{r:g}")
         rows.append(report.summary_row(ratio=r))
     write_rows(rows, out / "summary.csv")
     print(json.dumps(rows, indent=2))

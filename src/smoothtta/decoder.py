@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -91,7 +91,7 @@ class DecoderParams:
 
     @property
     def input_width(self) -> int:
-        return 5 * self.horizon + 2 * self.context_size
+        return input_width(self.horizon, self.context_size)
 
     def count(self) -> int:
         return self.W1.size + self.b1.size + self.W2.size + self.b2.size
@@ -132,7 +132,7 @@ def init_params(
 ) -> DecoderParams:
     """Symmetric uniform init scaled by 1/sqrt(fan_in); zero biases."""
     rng = np.random.default_rng(seed)
-    F = 5 * horizon + 2 * context_size
+    F = input_width(horizon, context_size)
     lim1 = 1.0 / np.sqrt(F)
     lim2 = 1.0 / np.sqrt(hidden)
     return DecoderParams(
@@ -179,6 +179,11 @@ def feature_blocks(horizon: int, context_size: int) -> dict[str, slice]:
         blocks[name] = slice(lo, lo + width)
         lo += width
     return blocks
+
+
+def input_width(horizon: int, context_size: int) -> int:
+    """Width of a `build_features` row, the decoder's input: where its last block ends."""
+    return feature_blocks(horizon, context_size)["context"].stop
 
 
 def _forward(params: DecoderParams, features: np.ndarray):
@@ -398,7 +403,9 @@ def train_decoder(
     A finite-difference gradient check on random samples gates the run; see
     `gradient_check` for how its perturbed losses are evaluated. The
     optimizer updates the weights and its moments in place and builds the
-    frozen `DecoderParams` once, after the last step.
+    frozen `DecoderParams` once, after the last step. It drops `params` once
+    the gate has run and the weights are copied, so an inline `init_params(...)`
+    (CPython 3.11+ moves it into this frame) is freed before the optimizer runs.
 
     AdamW's moments and arithmetic cover only the "used" W1 columns, those
     with a nonzero feature in some row, packed side by side. Each other
@@ -447,7 +454,10 @@ def train_decoder(
     checked = time.perf_counter()
 
     weights = {name: np.array(getattr(params, name)) for name in _BLOCKS}
-    live = SimpleNamespace(output_scale=params.output_scale, **weights)  # updated in place
+    shape = {k: getattr(params, k)
+             for k in ("horizon", "context_size", "hidden", "output_scale", "seed")}
+    del params  # frees the initial W1 and W2 unless the caller holds them
+    live = SimpleNamespace(output_scale=shape["output_scale"], **weights)  # updated in place
     W1 = weights["W1"]
     used = features.any(axis=0)  # W1 columns with a nonzero feature in some row
     packed = _packed_runs(used)
@@ -534,7 +544,7 @@ def train_decoder(
                 a *= cfg.learning_rate
                 w -= a
     opt = m = v = g_used = grads = None  # free the optimizer state before the frozen copy
-    trained = replace(params, **weights)
+    trained = DecoderParams(**shape, **weights)
     logger.info(
         "decoder trained: gradient gate max relative error %.3e over %d samples in %.3f s, "
         "optimizer %d steps in %.3f s",

@@ -17,7 +17,7 @@ import numpy as np
 from .config import ABLATION_SWITCHES, RolloutConfig
 from .data import Dataset
 from .decoder import DecoderParams, init_params
-from .rollout import EvalReport, rollout
+from .rollout import EvalReport, decoder_shape, rollout
 from .synth import biased_oracle_fixture
 
 CONTAMINATION_RATIOS = (0.0, 0.01, 0.05, 0.10, 0.20)
@@ -233,14 +233,7 @@ def bench_latency(
         )
         cfg = fx.config
         cfg.set_prefix(prefix)
-        s = cfg.solver
-        params = init_params(
-            horizon=H,
-            context_size=s.context_size,
-            hidden=s.hidden_dim,
-            output_scale=s.global_scale,
-            seed=seed,
-        )
+        params = init_params(**decoder_shape(cfg), seed=seed)
         rollout(fx.backbone, fx.dataset, cfg, params)  # warm-up
         times = []
         for _ in range(repetitions):

@@ -52,16 +52,8 @@ from .boundary import (PrefixBoundary, contaminate_errors, derive_seeds, estimat
 from .chain import build_transfer_operator
 from .config import RolloutConfig
 from .data import DataError, Dataset
-from .decoder import (
-    DecoderParams,
-    TrainConfig,
-    build_features,
-    decode,
-    decode_batch,
-    feature_blocks,
-    init_params,
-    train_decoder,
-)
+from .decoder import (DecoderParams, TrainConfig, build_features, decode, decode_batch,
+                      feature_blocks, init_params, input_width, train_decoder)
 from .fusion import fuse, global_gate
 from .local import solve_local
 from .memory import (
@@ -299,7 +291,7 @@ def _execute(plan: _Plan, backbone, dataset: Dataset, config: RolloutConfig,
     values = dataset.values
     H, L, d, K = config.horizon, config.lookback, dataset.channels, s.context_size
     op = build_transfer_operator(H, s.smoothness_alpha)
-    size = max(1, CHUNK_BYTES // (8 * d * (5 * H + 2 * K)))
+    size = max(1, CHUNK_BYTES // (8 * d * input_width(H, K)))
     summaries = np.empty((len(plan.starts), 2))  # of unflagged windows, in fold order
     n_summaries = 0
     template, version = np.zeros((H, d)), 0  # the fold state
@@ -396,7 +388,6 @@ def rollout(
     dataset: Dataset,
     config: RolloutConfig,
     decoder_params: DecoderParams | None = None,
-    part: str = "test",
     contamination_ratio: float = 0.0,
     contamination_sigma: np.ndarray | None = None,
     anchors: tuple[int, int] | None = None,
@@ -424,7 +415,7 @@ def rollout(
     slices = {"": headline_slice if headline_slice is not None else slice(0, H)}
     slices.update({f"{name}_": sl for name, sl in (extra_slices or {}).items()})
 
-    plan = _Plan(_window_starts(dataset, config, part), H, config.memory_schedule)
+    plan = _Plan(_window_starts(dataset, config), H, config.memory_schedule)
     chunks = _execute(plan, backbone, dataset, config, use_local=not s.global_only,
                       use_memory=not s.no_memory, contamination_ratio=contamination_ratio,
                       contamination_sigma=sigma, anchors=anchors)
@@ -489,14 +480,17 @@ def build_decoder_training_set(
     memory schedule) through the engine over fully observed windows,
     emitting one feature row per (window, channel) with the full residual as
     regression target. Ablation switches do not apply here. Returns
-    (features, targets, local_fields, gate).
+    (features, targets, local_fields, gate). Logs the build time and, per
+    FEATURE_LAYOUT block, the columns zero in every row (their W1 columns
+    only decay in training) on the `smoothtta.decoder` logger.
     """
+    started = time.perf_counter()
     config.validate()
     H, d = config.horizon, dataset.channels
     gate = global_gate(config.solver.schedule(ablate=False), H)
     plan = _Plan(_window_starts(dataset, config, part), H, "safe")
     capacity = len(plan.starts) * d  # rows when no window is flagged
-    feats = np.empty((capacity, 5 * H + 2 * config.solver.context_size))
+    feats = np.empty((capacity, input_width(H, config.solver.context_size)))
     targets, locals_ = np.empty((capacity, H)), np.empty((capacity, H))
     n = 0
     for c in _execute(plan, backbone, dataset, config):
@@ -509,59 +503,35 @@ def build_decoder_training_set(
         n += k
     if n == 0:
         raise DataError(f"no usable windows in the {part} split")
-    return feats[:n], targets[:n], locals_[:n], gate
-
-
-def train_decoder_for(
-    backbone,
-    dataset: Dataset,
-    config: RolloutConfig,
-    part: str = "val",
-    train_config: TrainConfig | None = None,
-) -> tuple[DecoderParams, list[float]]:
-    """Initialize and fit a decoder from simulated rollouts over one split.
-
-    `training_set_for` builds the samples and `fit_decoder` trains on them;
-    callers that must not hold the backbone while training call the two.
-    """
-    return fit_decoder(training_set_for(backbone, dataset, config, part), config, train_config)
-
-
-def training_set_for(backbone, dataset: Dataset, config: RolloutConfig, part: str = "val"):
-    """`build_decoder_training_set`, logged.
-
-    Logs the training-set build time and, per FEATURE_LAYOUT block, the
-    number of columns that are zero in every row (their W1 columns only decay
-    in training) on the `smoothtta.decoder` logger, next to `train_decoder`'s
-    event for the gradient gate and the optimizer.
-    """
-    started = time.perf_counter()
-    feats, targets, locals_, gate = build_decoder_training_set(
-        backbone, dataset, config, part
-    )
-    elapsed = time.perf_counter() - started
-    zero = ~feats.any(axis=0)
-    blocks = feature_blocks(config.horizon, config.solver.context_size)
+    feats = feats[:n]
+    zero, blocks = ~feats.any(axis=0), feature_blocks(H, config.solver.context_size)
     decoder_log.info(
         "decoder training set: %d rows of width %d built in %.3f s; "
         "columns zero in every row, by block: %s",
-        feats.shape[0], feats.shape[1], elapsed,
+        n, feats.shape[1], time.perf_counter() - started,
         ", ".join(f"{name} {int(zero[cols].sum())}/{cols.stop - cols.start}"
                   for name, cols in blocks.items()),
     )
-    return feats, targets, locals_, gate
+    return feats, targets[:n], locals_[:n], gate
 
 
-def fit_decoder(trainset, config: RolloutConfig, train_config: TrainConfig | None = None):
-    """A decoder initialized for `config`, fit on a `training_set_for` result by `train_decoder`."""
-    params = init_params(
-        horizon=config.horizon,
-        context_size=config.solver.context_size,
-        hidden=config.solver.hidden_dim,
-        output_scale=config.solver.global_scale,
-        seed=config.seed,
-    )
-    return train_decoder(params, *trainset, train_config or TrainConfig(seed=config.seed))
+def decoder_shape(config: RolloutConfig) -> dict:
+    """`init_params`' horizon, context_size, hidden and output_scale for `config`."""
+    s = config.solver
+    return dict(horizon=config.horizon, context_size=s.context_size, hidden=s.hidden_dim,
+                output_scale=s.global_scale)
+
+
+def fit_decoder(trainset, config: RolloutConfig) -> tuple[DecoderParams, list[float]]:
+    """`train_decoder` on a `build_decoder_training_set` result, from a fresh `decoder_shape`."""
+    feats, targets, locals_, gate = trainset  # no star call: its argument tuple holds the init
+    return train_decoder(init_params(**decoder_shape(config), seed=config.seed),  # inline: freed
+                         feats, targets, locals_, gate, TrainConfig(seed=config.seed))
+
+
+def train_decoder_for(backbone, dataset: Dataset, config: RolloutConfig):
+    """`fit_decoder` on the validation split's `build_decoder_training_set`."""
+    return fit_decoder(build_decoder_training_set(backbone, dataset, config), config)
 
 
 def _format_value(v) -> str:
@@ -571,17 +541,11 @@ def _format_value(v) -> str:
 
 
 def write_rows(rows: list[dict], path) -> None:
-    """Rows as CSV with full-precision floats; byte-stable for equal rows."""
-    if not rows:
-        with open(path, "w") as fh:
-            fh.write("")
-        return
-    keys = list(rows[0].keys())
-    lines = [",".join(keys)]
-    for row in rows:
-        lines.append(",".join(_format_value(row[k]) for k in keys))
+    """Rows as CSV with full-precision floats, no rows as an empty file; byte-stable."""
+    keys = list(rows[0]) if rows else []
+    lines = [",".join(keys)] + [",".join(_format_value(row[k]) for k in keys) for row in rows]
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines) + "\n" if rows else "")
 
 
 def write_metrics_csv(report: EvalReport, path) -> None:

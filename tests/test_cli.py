@@ -14,6 +14,7 @@ import smoothtta
 import smoothtta.backbones as bb
 import smoothtta.decoder as dec
 from smoothtta import cli, paramio
+from smoothtta.config import ABLATION_SWITCHES
 
 BASE = [sys.executable, "-m", "smoothtta"]
 
@@ -772,6 +773,46 @@ def test_a_decoder_trained_for_another_run_exits_2(workdir, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert err.startswith("configuration error: decoder was trained for (H, context_size) = (8, 8)")
     assert err.rstrip().endswith(asked)
+
+
+@pytest.mark.parametrize(
+    "extra, asked",
+    [(["--set", "hidden_dim=3"], "(8, 8, 3, 1.5)"),
+     (["--set", "global_scale=50"], "(8, 8, 256, 50.0)"),
+     (["--set", "hidden_dim=3", "--set", "global_scale=50"], "(8, 8, 3, 50.0)")],
+)
+def test_a_decoder_of_another_width_or_scale_exits_2(workdir, monkeypatch, capsys, extra,
+                                                     asked):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("trained a decoder although one was given")
+
+    monkeypatch.setattr(cli, "train_decoder_for", must_not_run)
+    out = workdir / "run_dec_shape"
+    assert _in_process(workdir, "rollout", *extra, out=out.name) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: decoder was trained for "
+                          "(H, context_size, hidden_dim, global_scale) = (8, 8, 256, 1.5)")
+    assert err.rstrip().endswith(f"run asks for {asked}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_ablate_writes_a_manifest_per_variant(workdir):
+    assert _in_process(workdir, "ablate", out="run_ab_manifest") == 0
+    assert _in_process(workdir, "rollout", out="run_ab_manifest") == 0
+    run = workdir / "run_ab_manifest"
+    for variant in ("full", *ABLATION_SWITCHES):
+        manifest = json.loads((run / f"ablate/manifest_{variant}.json").read_text())
+        rows = (run / f"ablate/metrics_{variant}.csv").read_text().splitlines()
+        assert manifest["n_windows"] == len(rows) - 1
+        assert manifest["timing"]["rollout_seconds"] >= 0.0
+        switches = [k for k in ABLATION_SWITCHES if manifest["config"]["solver"][k]]
+        assert switches == ([] if variant == "full" else [variant])
+    # the full variant is the plain rollout: the same CSV bytes and aggregates
+    full = json.loads((run / "ablate/manifest_full.json").read_text())
+    plain = json.loads((run / "rollout/manifest.json").read_text())
+    assert full["aggregates"] == plain["aggregates"]
+    csv = (run / "ablate/metrics_full.csv").read_bytes()
+    assert csv == (run / "rollout/metrics.csv").read_bytes()
 
 
 # JSON values of every type, nested a little, for fuzzed headers

@@ -1,8 +1,12 @@
 import copy
+import dataclasses
 import importlib
+import re
 import sys
 import threading
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothtta.backbones import BiasedOracleForecaster
-from smoothtta.config import ConfigError, RolloutConfig, SolverConfig, apply_overrides
-from smoothtta.decoder import FEATURE_LAYOUT, DecoderParams, decode_batch, init_params
+from smoothtta.config import (ABLATION_SWITCHES, ConfigError, RolloutConfig, SolverConfig,
+                              apply_overrides)
+from smoothtta.decoder import (FEATURE_LAYOUT, DecoderParams, decode_batch, feature_blocks,
+                               init_params)
 from smoothtta.fusion import fuse
 from smoothtta.rollout import (
     ContractViolation,
     build_decoder_training_set,
+    decoder_shape,
+    fit_decoder,
     rollout,
     train_decoder_for,
     write_manifest,
@@ -477,3 +485,44 @@ def test_a_failing_decoder_pass_stops_the_worker(small_fixture, monkeypatch):
         rollout(fx.backbone, fx.dataset, fx.config, params)
     assert len(calls) == 2
     assert threading.active_count() == threads
+
+
+def test_fit_decoder_frees_the_initial_weights_before_training():
+    # eval-h720's dead columns, as in test_decoder's peak-memory test. Above
+    # the training set, fit_decoder may hold what train_decoder holds while it
+    # trains; an initial DecoderParams kept until it returns is about 1.2 W1 more.
+    horizon, context, prefix = 360, 4, 8
+    config = RolloutConfig(horizon=horizon, solver=SolverConfig(context_size=context))
+    shape = decoder_shape(config)
+    p = init_params(**shape)
+    rng = np.random.default_rng(0)
+    feats = rng.standard_normal((48, p.input_width))
+    blocks = feature_blocks(horizon, context)
+    feats[:, blocks["memory"].start :] = 0.0
+    for name in ("padded_error", "mask"):
+        feats[:, blocks[name].start + prefix : blocks[name].stop] = 0.0
+    local = 0.1 * rng.standard_normal((48, horizon))
+    trainset = (feats, local + 0.3, local, rng.uniform(0.0, 1.0, horizon))
+    used = feats.any(axis=0).mean()
+    w1, others = p.W1.nbytes, p.b1.nbytes + p.W2.nbytes + p.b2.nbytes
+    bound = (2 + 4 * used + 0.5) * w1 + 5 * others
+    del p
+
+    tracemalloc.start()
+    try:
+        params, _ = fit_decoder(trainset, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {k: getattr(params, k) for k in shape} == shape
+    assert peak <= bound, f"peak {peak / w1:.2f} W1, bound {bound / w1:.2f} W1"
+
+
+def test_readme_solver_table_lists_every_solver_key_with_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("Solver hyperparameters", 1)[1].split("\n\n")[1]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+?) \|", table, flags=re.M)
+    fields = [f for f in dataclasses.fields(SolverConfig) if f.name not in ABLATION_SWITCHES]
+    assert [key for key, _ in rows] == [f.name for f in fields]
+    for (key, default), f in zip(rows, fields):
+        assert type(f.default)(default) == f.default, key
