@@ -221,6 +221,10 @@ def cmd_rollout(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    # the fit would read the switches (global_mix 0 trains no decoder); each variant resets them
+    switched = [s for s in ABLATION_SWITCHES if getattr(_build_config(args).solver, s)]
+    if switched:
+        raise ConfigError(f"ablate runs each ablation switch itself; drop {', '.join(switched)}")
     cfg, ds, backbone, decoder_params = _prepare(args)
     reports = run_ablation(backbone, ds, cfg, decoder_params)
     out = _out_dir(args, "ablate")

@@ -7,12 +7,10 @@ Weights are shared across channels, trained offline against the fused
 correction target, and frozen during rollout. Backpropagation is written out
 by hand and guarded by a central finite-difference gradient check.
 
-Training multiplies the dense `build_features` rows in its forward pass and
-for the W1 gradient, so those products round as a dense network's do; the
-clip norm squares that dense gradient in place. AdamW then carries moments
-only for the W1 columns with a nonzero feature in some training row, in
-blocks of `_ADAM_BLOCK` (32768) entries; the other columns get an
-exactly-zero gradient and only decay, all their steps after the loop.
+Training fits only the W1 columns with a nonzero feature in some training
+row; the other columns meet only zero features, carry no signal, and are zero
+in the trained decoder. AdamW updates the weights in place, in blocks of
+`_ADAM_BLOCK` (32768) entries.
 Inference (`decode_batch`) skips the zero padded-error and mask columns past
 the last observed step, and multiplies the mask and context blocks once per
 window, not once per channel.
@@ -373,19 +371,6 @@ class TrainConfig:
     check_tolerance: float = 1e-4
 
 
-def _packed_runs(mask: np.ndarray) -> list[tuple[slice, slice]]:
-    """A (dense, packed) slice pair per maximal run of True entries of `mask`.
-
-    `dense` spans the run; `packed` is where the run sits once the True
-    entries are placed side by side."""
-    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False)).tolist()
-    pairs, width = [], 0
-    for lo, hi in zip(edges[::2], edges[1::2]):
-        pairs.append((slice(lo, hi), slice(width, width + hi - lo)))
-        width += hi - lo
-    return pairs
-
-
 def train_decoder(
     params: DecoderParams,
     features: np.ndarray,
@@ -407,20 +392,13 @@ def train_decoder(
     the gate has run and the weights are copied, so an inline `init_params(...)`
     (CPython 3.11+ moves it into this frame) is freed before the optimizer runs.
 
-    AdamW's moments and arithmetic cover only the "used" W1 columns, those
-    with a nonzero feature in some row, packed side by side. Each other
-    column's gradient is +-0 at every step, so its update is the weight
-    decay alone, in the same operations the full update would apply; as its
-    weight meets only +-0 features and decay never flips its sign, its
-    updates, one per step, run after the loop. The forward pass and the W1
-    gradient stay dense products: a product over the used columns alone lets
-    the BLAS split its reductions at other points and changes the last bits.
-    The gradient norm also sums the dense W1 layout, squared in place once
-    the used columns are packed, since pairwise summation without the zeros
-    rounds differently and would move the clip scale. AdamW runs over blocks
-    of `_ADAM_BLOCK` = 32768 entries with two block-sized scratch buffers,
-    and its state is freed before the frozen copy is built. The trained
-    weights and loss trace are therefore bit-identical to a dense AdamW's.
+    W1 is trained on its "used" columns only, those with a nonzero feature in
+    some row: the forward pass, the gradients and AdamW run on a row-major
+    copy of those columns and on each batch's used features. The other
+    columns meet only zero features, so they move no loss and no other
+    gradient; the trained decoder holds +0.0 in them. AdamW runs in place over
+    blocks of `_ADAM_BLOCK` = 32768 entries with two block-sized scratch
+    buffers, and its state is freed before the frozen copy is built.
     Logs one INFO event on this module's logger with the gate's worst
     relative error, the number of samples it checked, and the wall times of
     the gate and the optimizer.
@@ -453,22 +431,18 @@ def train_decoder(
             )
     checked = time.perf_counter()
 
-    weights = {name: np.array(getattr(params, name)) for name in _BLOCKS}
+    used = features.any(axis=0)  # W1 columns with a nonzero feature in some row
+    # a boolean column index returns a column-major copy; AdamW and the products want
+    # row-major. W1 comes first, so the views AdamW's loop leaves behind are b2's.
+    weights = {"W1": np.ascontiguousarray(params.W1[:, used])}
+    weights |= {name: np.array(getattr(params, name)) for name in _BLOCKS[1:]}
     shape = {k: getattr(params, k)
              for k in ("horizon", "context_size", "hidden", "output_scale", "seed")}
     del params  # frees the initial W1 and W2 unless the caller holds them
     live = SimpleNamespace(output_scale=shape["output_scale"], **weights)  # updated in place
-    W1 = weights["W1"]
-    used = features.any(axis=0)  # W1 columns with a nonzero feature in some row
-    packed = _packed_runs(used)
-    # the arrays AdamW updates: W1's used columns, packed, and the other blocks
-    # (a boolean column index returns a column-major copy; Adam wants row-major)
-    opt = dict(weights, W1=np.ascontiguousarray(W1[:, used]))
-    g_used = np.empty_like(opt["W1"])
-    m = {k: np.zeros_like(w) for k, w in opt.items()}
-    v = {k: np.zeros_like(w) for k, w in opt.items()}
-    # a block of AdamW entries, or a decay-only column run of at least one W1 row
-    scratch = [np.empty(min(W1.size, max(_ADAM_BLOCK, W1.shape[1]))) for _ in range(2)]
+    m = {k: np.zeros_like(w) for k, w in weights.items()}
+    v = {k: np.zeros_like(w) for k, w in weights.items()}
+    scratch = [np.empty(_ADAM_BLOCK) for _ in range(2)]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     trace: list[float] = []
@@ -476,38 +450,26 @@ def train_decoder(
     # Each step evaluates, in place and in this operation order,
     #   m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g**2
     #   w = w - lr * ((m / bc1) / (sqrt(v / bc2) + eps) + wd * w)
-    # element-wise over blocks, so it rounds like that expression written out
-    # of place. A dead W1 column's gradient is +-0 at every step: its m, v and
-    # Adam term would stay +0. Its weight meets only +-0 features and decay
-    # never flips its sign, so its `step` updates w - lr * (wd * w + 0) run last.
+    # element-wise over blocks, so it rounds like that expression written out of place.
     batch_size = max(1, -(-n // cfg.max_batches))  # ceil: covers the set in <= max_batches
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_losses = []
         for start in range(0, n, batch_size):
             take = order[start : start + batch_size]
-            loss, grads = _loss_and_grads(
-                live, features[take], targets[take], local_fields[take], gate
-            )
+            batch = np.ascontiguousarray(features[take][:, used])
+            loss, grads = _loss_and_grads(live, batch, targets[take], local_fields[take], gate)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(trace + [loss])
             epoch_losses.append(loss)
 
-            for cols, at in packed:
-                g_used[:, at] = grads["W1"][:, cols]
-            # the norm sums W2, b2, W1, b1 in that order, W1 dense (its dead
-            # columns square to +0): pairwise sums without the zeros round differently
-            total_sq = 0
-            for name, g in grads.items():
-                total_sq += float(np.sum(np.square(g, out=g) if name == "W1" else np.square(g)))
-            grads["W1"] = g_used
-            norm = np.sqrt(total_sq)
+            norm = np.sqrt(sum(float(np.sum(np.square(g))) for g in grads.values()))
             scale = cfg.grad_clip / norm if norm > cfg.grad_clip else 1.0
 
             step += 1
             bc1 = 1.0 - beta1**step
             bc2 = 1.0 - beta2**step
-            for name, w in opt.items():
+            for name, w in weights.items():
                 flat = [x.reshape(-1) for x in (w, grads[name], m[name], v[name])]  # views
                 for lo in range(0, w.size, _ADAM_BLOCK):
                     wb, g, mk, vk = (x[lo : lo + _ADAM_BLOCK] for x in flat)
@@ -530,21 +492,11 @@ def train_decoder(
                     a += b
                     a *= cfg.learning_rate
                     wb -= a
-            for cols, at in packed:
-                W1[:, cols] = opt["W1"][:, at]
         trace.append(float(np.mean(epoch_losses)))
-    for cols, _ in _packed_runs(~used):
-        rows = max(1, _ADAM_BLOCK // (cols.stop - cols.start))
-        for lo in range(0, W1.shape[0], rows):
-            w = W1[lo : lo + rows, cols]
-            a = scratch[0][: w.size].reshape(w.shape)
-            for _ in range(step):
-                np.multiply(w, cfg.weight_decay, out=a)
-                a += 0.0  # the Adam term: keeps a -0.0 weight at -0.0
-                a *= cfg.learning_rate
-                w -= a
-    opt = m = v = g_used = grads = None  # free the optimizer state before the frozen copy
-    trained = DecoderParams(**shape, **weights)
+    live = m = v = grads = None  # free the optimizer state before the frozen copy
+    W1 = np.zeros((shape["hidden"], used.size))
+    W1[:, used] = weights.pop("W1")
+    trained = DecoderParams(**shape, W1=W1, **weights)
     logger.info(
         "decoder trained: gradient gate max relative error %.3e over %d samples in %.3f s, "
         "optimizer %d steps in %.3f s",

@@ -482,7 +482,7 @@ def build_decoder_training_set(
     regression target. Ablation switches do not apply here. Returns
     (features, targets, local_fields, gate). Logs the build time and, per
     FEATURE_LAYOUT block, the columns zero in every row (their W1 columns
-    only decay in training) on the `smoothtta.decoder` logger.
+    are zero in the trained decoder) on the `smoothtta.decoder` logger.
     """
     started = time.perf_counter()
     config.validate()

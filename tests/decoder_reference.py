@@ -1,16 +1,18 @@
 """Reference implementations of the decoder's gradient gate and optimizer.
 
-These are the straightforward versions that `smoothtta.decoder` replaced with
-batched and in-place code: one full forward pass per perturbed coordinate,
-and an AdamW loop that allocates fresh arrays and rebuilds a validated
-`DecoderParams` after every step. Tests compare the fast versions against
-them.
+These are the straightforward versions of `smoothtta.decoder`'s batched and
+in-place code: one full forward pass per perturbed coordinate, and an AdamW
+loop that allocates fresh arrays at every step. Tests compare the fast
+versions against them.
 """
+
+import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 
 from smoothtta import decoder as dec
-from smoothtta.decoder import DecoderParams, TrainConfig, TrainingDivergedError
+from smoothtta.decoder import TrainConfig, TrainingDivergedError
 
 
 def gradient_check(params, features, target, local_field, gate, step=1e-4,
@@ -58,7 +60,10 @@ def adamw(params, features, targets, local_fields, gate, config: TrainConfig):
     """The optimizer half of `train_decoder` (no gradient gate), out of place.
 
     Draws the gate's sample picks from the RNG first when the config checks
-    gradients, so that its batch order matches `train_decoder`'s.
+    gradients, so that its batch order matches `train_decoder`'s. W1 is
+    trained on the columns with a nonzero feature in some row, as a row-major
+    copy against each batch's row-major used features; the returned
+    `DecoderParams` holds zeros in the other columns.
     """
     cfg = config
     n = features.shape[0]
@@ -66,7 +71,9 @@ def adamw(params, features, targets, local_fields, gate, config: TrainConfig):
     if cfg.check_gradients:
         rng.choice(n, size=min(cfg.check_samples, n), replace=False)
 
+    used = features.any(axis=0)
     weights = {name: np.array(getattr(params, name)) for name in ("W1", "b1", "W2", "b2")}
+    weights["W1"] = np.ascontiguousarray(weights["W1"][:, used])
     m = {k: np.zeros_like(v) for k, v in weights.items()}
     v = {k: np.zeros_like(v_) for k, v_ in weights.items()}
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -74,14 +81,15 @@ def adamw(params, features, targets, local_fields, gate, config: TrainConfig):
     trace = []
 
     batch_size = max(1, -(-n // cfg.max_batches))
-    current = params
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_losses = []
         for start in range(0, n, batch_size):
             take = order[start : start + batch_size]
+            current = SimpleNamespace(output_scale=params.output_scale, **weights)
             loss, grads = dec._loss_and_grads(
-                current, features[take], targets[take], local_fields[take], gate
+                current, np.ascontiguousarray(features[take][:, used]), targets[take],
+                local_fields[take], gate,
             )
             if not np.isfinite(loss):
                 raise TrainingDivergedError(trace + [loss])
@@ -102,13 +110,7 @@ def adamw(params, features, targets, local_fields, gate, config: TrainConfig):
                 weights[name] = weights[name] - cfg.learning_rate * (
                     update + cfg.weight_decay * weights[name]
                 )
-            current = DecoderParams(
-                horizon=params.horizon,
-                context_size=params.context_size,
-                hidden=params.hidden,
-                output_scale=params.output_scale,
-                seed=params.seed,
-                **{k: w.copy() for k, w in weights.items()},
-            )
         trace.append(float(np.mean(epoch_losses)))
-    return current, trace
+    W1 = np.zeros(params.W1.shape)
+    W1[:, used] = weights.pop("W1")
+    return dataclasses.replace(params, W1=W1, **weights), trace

@@ -274,6 +274,31 @@ def test_sparse_boundary_rejects_a_fixed_prefix(workdir, extra):
     assert not (workdir / "run_sb_prefix").exists()
 
 
+@pytest.mark.parametrize(
+    "extra, switch",
+    [*[(["--" + s.replace("_", "-")], s) for s in ABLATION_SWITCHES],
+     (["--set", "local_only=true"], "local_only"),
+     (["--config", "ablate.cfg"], "no_memory")],
+    ids=[*ABLATION_SWITCHES, "set", "config"],
+)
+def test_ablate_rejects_an_ablation_switch_before_any_fit(
+    workdir, capsys, monkeypatch, extra, switch
+):
+    # each variant resets the switches, after the fit has read them
+    def no_fit(*args, **kwargs):
+        pytest.fail("ablate fitted before refusing the switch")
+
+    monkeypatch.setattr(bb, "fit_linear_backbone", no_fit)
+    monkeypatch.setattr(cli, "train_decoder_for", no_fit)
+    monkeypatch.chdir(workdir)
+    (workdir / "ablate.cfg").write_text("no_memory = true\n")
+    argv = ["ablate", "--data", "toy.csv", *COMMON, "--out-dir", "run_ab_switch", *extra]
+    assert cli.main(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("configuration error:") and switch in line
+    assert not (workdir / "run_ab_switch").exists()
+
+
 def test_contaminate_rejects_out_of_range_ratio(workdir):
     res = _run(
         ["contaminate", "--data", "toy.csv", *COMMON, "--ratios", "0,1.5",

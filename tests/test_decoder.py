@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -480,8 +479,8 @@ def _zero_columns(pattern, horizon, context, cut, keep):
 def test_used_column_adamw_matches_dense_reference_bit_for_bit(
     pattern, clip, check, horizon, context, hidden, rows, cut, keep, signed_zero, max_batches, seed
 ):
-    # train_decoder runs Adam only on the W1 columns with a nonzero feature;
-    # the dense out-of-place reference runs it on every column
+    # feature columns zero in every row: train_decoder's in-place AdamW on the
+    # used W1 columns against the out-of-place reference
     rng = np.random.default_rng(seed)
     p = init_params(horizon=horizon, context_size=context, hidden=hidden, seed=seed)
     feats = rng.standard_normal((rows, p.input_width))
@@ -501,7 +500,7 @@ def test_used_column_adamw_matches_dense_reference_bit_for_bit(
 
 @pytest.mark.parametrize("block", [1, 7, 100])
 def test_blocked_adamw_matches_the_dense_reference_for_any_block_size(monkeypatch, block):
-    # blocks that split W1's rows, and decay-only column runs wider than a block
+    # blocks that split W1's rows, with W1 columns no training row uses
     monkeypatch.setattr(dec, "_ADAM_BLOCK", block)
     p, feats, target, local, gate = _training_set(n=40, d_seed=5)
     feats[:, 2 * H + 2 : 3 * H] = 0.0  # padded error past step 2
@@ -513,18 +512,23 @@ def test_blocked_adamw_matches_the_dense_reference_for_any_block_size(monkeypatc
     assert trace == expected_trace
 
 
-def test_dead_column_keeps_a_negative_zero_weight():
-    # the dense update adds Adam's +0 step before scaling: -0.0 stays -0.0
+def test_trained_decoder_ignores_inputs_it_was_never_trained_on():
     p, feats, target, local, gate = _training_set(n=20, d_seed=4)
-    feats[:, -2 * K :] = 0.0
-    W1 = np.array(p.W1)
-    W1[:, -2 * K :] = -0.0
-    p = dataclasses.replace(p, W1=W1)
-    cfg = TrainConfig(epochs=2, seed=3, check_gradients=False)
-    trained, _ = train_decoder(p, feats, target, local, gate, cfg)
-    expected, _ = reference.adamw(p, feats, target, local, gate, cfg)
-    assert np.signbit(expected.W1[:, -2 * K :]).all()
-    assert trained.digest() == expected.digest()
+    blocks = dec.feature_blocks(H, K)
+    feats[:, blocks["memory"].start :] = 0.0  # memory and context
+    trained, _ = train_decoder(p, feats, target, local, gate, TrainConfig(epochs=2, seed=3))
+    unused = trained.W1[:, blocks["memory"].start :]
+    assert not unused.any() and not np.signbit(unused).any()
+    rng = np.random.default_rng(7)
+    n, d = 3, 2
+    forecasts, local_fields, padded = (rng.standard_normal((n, H, d)) for _ in range(3))
+    masks = np.broadcast_to((np.arange(H) < 2).astype(float), (n, H))
+    seen = (forecasts, local_fields, padded, masks)
+    zero = dec.decode_batch(trained, *seen, np.zeros((n, H, d)), np.zeros((n, 2 * K)))
+    rand = dec.decode_batch(
+        trained, *seen, rng.standard_normal((n, H, d)), rng.standard_normal((n, 2 * K))
+    )
+    assert zero.tobytes() == rand.tobytes()
 
 
 def test_training_logs_gate_and_optimizer(caplog):
@@ -542,12 +546,11 @@ def test_training_logs_gate_and_optimizer(caplog):
 
 def test_training_peak_memory_stays_within_its_w1_sized_buffers():
     # eval-h720's dead columns: memory and context zero, padded error and mask
-    # zero past the prefix. Above its inputs, training may hold the live W1,
-    # one dense W1 gradient, four packed copies of the used columns (weights,
-    # gradient, m, v), five of each other block (weights, gradient, m, v, a
-    # squared gradient for the norm), and half a W1 for the AdamW block
-    # scratch, the batch and its activations. The dense squared-gradient
-    # buffer and W1-sized scratch this replaced measured about 1.7 W1 more.
+    # zero past the prefix. Above its inputs, training may hold two dense W1
+    # (the trained one and its frozen copy), four copies of the used columns
+    # (weights, gradient, m, v), five of each other block (weights, gradient,
+    # m, v, a squared gradient for the norm), and half a W1 for the AdamW
+    # block scratch, the batch and its activations.
     horizon, context, prefix = 360, 4, 8
     p = init_params(horizon=horizon, context_size=context, hidden=256, seed=0)
     rng = np.random.default_rng(0)
@@ -566,6 +569,38 @@ def test_training_peak_memory_stays_within_its_w1_sized_buffers():
     tracemalloc.start()
     try:
         train_decoder(p, feats, target, local, gate, TrainConfig(epochs=2, check_gradients=False))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"peak {peak / p.W1.nbytes:.2f} W1, bound {bound / p.W1.nbytes:.2f} W1"
+
+
+def test_training_holds_one_w1_layout():
+    # the setup of the peak-memory test above. While it steps, training holds
+    # the used W1 columns, their m and v, and two gradients (the last step's
+    # while the next is computed, or one and its square for the norm); once it
+    # has stepped, the dense W1, its frozen copy and the used columns. Each
+    # other block has at most five copies, and half a W1 covers AdamW's block
+    # scratch, the batch and its activations. A dense W1 gradient or copy held
+    # beside the used columns while training steps breaks the bound.
+    horizon, context, prefix = 360, 4, 8
+    p = init_params(horizon=horizon, context_size=context, hidden=256, seed=0)
+    rng = np.random.default_rng(0)
+    feats = rng.standard_normal((48, p.input_width))
+    blocks = dec.feature_blocks(horizon, context)
+    feats[:, blocks["memory"].start :] = 0.0
+    for name in ("padded_error", "mask"):
+        feats[:, blocks[name].start + prefix : blocks[name].stop] = 0.0
+    local = 0.1 * rng.standard_normal((48, horizon))
+    gate = rng.uniform(0.0, 1.0, horizon)
+    used = feats.any(axis=0).mean()
+    others = p.b1.nbytes + p.W2.nbytes + p.b2.nbytes
+    bound = (max(5 * used, 2 + used) + 0.5) * p.W1.nbytes + 5 * others
+
+    tracemalloc.start()
+    try:
+        train_decoder(p, feats, local + 0.3, local, gate,
+                      TrainConfig(epochs=2, check_gradients=False))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
