@@ -10,7 +10,7 @@ harmonic-extension oracle lives in `reference`.
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,10 +56,6 @@ class TransferOperator:
         return self.matrix[:, :length]
 
 
-_operator_cache: dict[tuple[int, float], TransferOperator] = {}
-_cache_lock = threading.Lock()
-
-
 def build_transfer_operator(horizon: int, alpha: float) -> TransferOperator:
     """Build (or fetch from cache) the transfer operator for (horizon, alpha).
 
@@ -76,23 +72,17 @@ def build_transfer_operator(horizon: int, alpha: float) -> TransferOperator:
             "smoothness regularizer must be finite with 1 + alpha > 1 (else the matrix "
             f"rounds to the singular chain Laplacian), got {alpha}"
         )
-    key = (int(horizon), float(alpha))
-    with _cache_lock:
-        cached = _operator_cache.get(key)
-    if cached is not None:
-        return cached
+    return _transfer_operator(int(horizon), float(alpha))
 
+
+@functools.lru_cache(maxsize=None)
+def _transfer_operator(horizon: int, alpha: float) -> TransferOperator:
     D = difference_matrix(horizon)
     A = D.T @ D + alpha * np.eye(horizon)
     P = np.linalg.solve(A, np.eye(horizon))
     P = 0.5 * (P + P.T)  # symmetrize away solve round-off
     P.flags.writeable = False
-    op = TransferOperator(horizon=horizon, alpha=float(alpha), matrix=P)
-    with _cache_lock:
-        _operator_cache.setdefault(key, op)
-        return _operator_cache[key]
+    return TransferOperator(horizon=horizon, alpha=alpha, matrix=P)
 
 
-def clear_operator_cache() -> None:
-    with _cache_lock:
-        _operator_cache.clear()
+clear_operator_cache = _transfer_operator.cache_clear

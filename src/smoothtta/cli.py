@@ -21,11 +21,13 @@ from pathlib import Path
 
 from . import backbones as bb
 from . import decoder as dec
-from .config import ABLATION_SWITCHES, ConfigError, RolloutConfig, apply_overrides, load_config_file
+from .config import (ABLATION_SWITCHES, ConfigError, RolloutConfig, apply_overrides,
+                     load_config_file, parse_prefix)
 from .data import DataError, load_csv, split_dataset
 from .fusion import FusionSchedule, schedule_table
 from .protocols import (
     CONTAMINATION_RATIOS,
+    SWEEP_GRIDS,
     bench_latency,
     run_ablation,
     run_contamination_grid,
@@ -88,12 +90,12 @@ def _build_config(args) -> RolloutConfig:
         lookback=args.lookback,
         horizon=args.horizon,
         stride=args.stride,
+        prefix=parse_prefix(args.prefix),
         seed=args.seed,
         standardize=not args.no_standardize,
         memory_schedule=args.memory_schedule,
         max_windows=args.max_windows,
     )
-    cfg.set_prefix(args.prefix)
     overrides = {}
     if args.config:
         overrides.update(load_config_file(args.config))
@@ -237,14 +239,20 @@ def cmd_ablate(args) -> int:
     return 0
 
 
+def _file_names(values, flag: str, spec) -> list[str]:
+    """Each value's part of a file name ({v:g}, "fft" as is); ConfigError if one repeats."""
+    names = [v if v == "fft" else f"{v:g}" for v in values]
+    if len(set(values)) < len(values) or len(set(names)) < len(names):
+        raise ConfigError(f"--{flag} {spec!r} repeats a value or a file name ({', '.join(names)})")
+    return names
+
+
 def _parse_ratios(spec: str) -> tuple[float, ...]:
     """Distinct ratios in [0, 1] whose `metrics_ratio_{r:g}.csv` names differ too."""
     ratios = _parse_list(spec, float, "ratios")
     if any(not 0.0 <= r <= 1.0 for r in ratios):
         raise ConfigError(f"ratios must lie in [0, 1], got {spec!r}")
-    names = [f"{r:g}" for r in ratios]
-    if len(set(ratios)) < len(ratios) or len(set(names)) < len(names):
-        raise ConfigError(f"--ratios {spec!r} repeats a ratio or a file name ({', '.join(names)})")
+    _file_names(ratios, "ratios", spec)
     return ratios
 
 
@@ -277,13 +285,14 @@ def _parse_steps(spec: str, horizon: int, what: str) -> tuple[int, int]:
 
 
 def cmd_sparse_boundary(args) -> int:
-    cfg, ds, backbone, decoder_params = _prepare(args)
+    cfg = _build_config(args)
     if not 0 <= args.k < cfg.horizon:
         raise ConfigError(f"--k {args.k} must lie in [0, horizon={cfg.horizon})")
-    if cfg.prefix_mode == "fixed":
-        raise ConfigError("--k fixes the prefix; drop --prefix N and prefix_mode=fixed")
+    if cfg.prefix != "fft":
+        raise ConfigError("--k fixes the prefix; drop --prefix N and prefix=N")
     near = _parse_steps(args.near, cfg.horizon, "near")
     far = _parse_steps(args.far, cfg.horizon, "far")
+    cfg, ds, backbone, decoder_params = _prepare(args)
     report = run_sparse_boundary(
         backbone, ds, cfg, decoder_params, k=args.k, near_steps=near, far_steps=far
     )
@@ -294,12 +303,13 @@ def cmd_sparse_boundary(args) -> int:
 
 def cmd_sparse_anchor(args) -> int:
     ratios = _parse_ratios(args.ratios)
-    cfg, ds, backbone, decoder_params = _prepare(args)
+    cfg = _build_config(args)
     if not 1 <= args.support < cfg.horizon:
         raise ConfigError(
             f"--support {args.support} must lie inside the horizon {cfg.horizon}"
         )
     eval_steps = _parse_steps(args.eval, cfg.horizon, "eval")
+    cfg, ds, backbone, decoder_params = _prepare(args)
     out = _out_dir(args, "sparse-anchor")
     rows = []
     for r in ratios:
@@ -314,19 +324,18 @@ def cmd_sparse_anchor(args) -> int:
     return 0
 
 
-def _prefix_spec(spec: str) -> str:
-    cfg = RolloutConfig()
-    cfg.set_prefix(spec)  # raises ConfigError unless 'fft' or an integer
-    cfg.validate()  # and unless the integer is >= 0
-    return spec
-
-
 def cmd_sweep(args) -> int:
-    convert = _prefix_spec if args.parameter == "prefix" else float
-    grid = _parse_list(args.grid, convert, "grid") if args.grid else None
+    convert = parse_prefix if args.parameter == "prefix" else float
+    grid = _parse_list(args.grid, convert, "grid") if args.grid else SWEEP_GRIDS[args.parameter]
+    names = _file_names(grid, "grid", args.grid)
     cfg, ds, backbone, decoder_params = _prepare(args)
-    rows = run_sweep(backbone, ds, cfg, decoder_params, args.parameter, grid)
+    reports = run_sweep(backbone, ds, cfg, decoder_params, args.parameter, grid)
     out = _out_dir(args, "sweep")
+    keys = ("mse_base", "mse_corrected", "mae_corrected", "improvement")
+    rows = []
+    for (value, report), name in zip(reports.items(), names):
+        _write_report(report, out, f"_{args.parameter}_{name}")
+        rows.append(report.summary_row(keys, parameter=args.parameter, value=value))
     write_rows(rows, out / "sweep.csv")
     print(json.dumps(rows, indent=2, default=str))
     return 0
@@ -452,10 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dump-schedule", help="fusion ramp and share table as CSV")
     p.add_argument("--horizon", type=int, default=96)
-    p.add_argument("--global-mix", type=float, default=0.7)
-    p.add_argument("--ramp-sharpness", type=float, default=8.0)
-    p.add_argument("--ramp-midpoint", type=float, default=0.25)
-    p.add_argument("--clip", type=float, default=2.5)
+    p.add_argument("--global-mix", type=float, default=FusionSchedule.global_mix)
+    p.add_argument("--ramp-sharpness", type=float, default=FusionSchedule.ramp_sharpness)
+    p.add_argument("--ramp-midpoint", type=float, default=FusionSchedule.ramp_midpoint)
+    p.add_argument("--clip", type=float, default=FusionSchedule.correction_clip)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_dump_schedule)
 

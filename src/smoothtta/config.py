@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .fusion import FusionSchedule
@@ -33,10 +34,10 @@ class SolverConfig:
     hidden_dim: int = 256            # decoder hidden width
     memory_decay: float = 0.5        # EMA retention rho
     global_scale: float = 1.5        # decoder output scale
-    global_mix: float = 0.7          # fusion gamma
-    ramp_midpoint: float = 0.25      # fusion tau
-    ramp_sharpness: float = 8.0      # fusion kappa
-    correction_clip: float = 2.5     # fusion safety bound c
+    global_mix: float = FusionSchedule.global_mix            # fusion gamma
+    ramp_midpoint: float = FusionSchedule.ramp_midpoint      # fusion tau
+    ramp_sharpness: float = FusionSchedule.ramp_sharpness    # fusion kappa
+    correction_clip: float = FusionSchedule.correction_clip  # fusion safety bound c
 
     # ablation switches (test-time only; checkpoints are shared)
     local_only: bool = False         # gamma forced to 0
@@ -95,8 +96,7 @@ class RolloutConfig:
     lookback: int = 96
     horizon: int = 96
     stride: int | None = None        # None -> non-overlapping (stride = horizon)
-    prefix_mode: str = "fft"         # "fft" or a fixed prefix_length (0: zero-shot)
-    prefix_length: int | None = None
+    prefix: int | str = "fft"        # "fft" or a fixed prefix length (0: zero-shot)
     seed: int = 0
     standardize: bool = True         # z-score channels by train-split statistics
     memory_schedule: str = "safe"    # "immediate" is a leakage-test hook
@@ -111,28 +111,13 @@ class RolloutConfig:
             raise ConfigError("horizon must be >= 2")
         if self.stride is not None and self.stride < 1:
             raise ConfigError("stride must be >= 1")
-        if self.prefix_mode not in ("fft", "fixed"):
-            raise ConfigError(f"unknown prefix_mode {self.prefix_mode!r}")
-        if self.prefix_length is not None and self.prefix_length < 0:
-            raise ConfigError(f"prefix_length >= 0 required, got {self.prefix_length}")
-        if self.prefix_mode == "fixed" and self.prefix_length is None:
-            raise ConfigError("prefix_mode=fixed requires prefix_length >= 0 (0: zero-shot)")
+        self.prefix = parse_prefix(self.prefix)  # stores the parsed setting: "5" becomes 5
         if self.max_windows is not None and self.max_windows < 1:
             raise ConfigError("max_windows must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.memory_schedule not in ("safe", "immediate"):
             raise ConfigError(f"unknown memory_schedule {self.memory_schedule!r}")
-
-    def set_prefix(self, spec) -> None:
-        """Estimate each prefix length by FFT (`spec` "fft") or fix it to the integer `spec`."""
-        if spec == "fft":
-            self.prefix_mode, self.prefix_length = "fft", None
-            return
-        try:
-            self.prefix_mode, self.prefix_length = "fixed", int(spec)
-        except ValueError:
-            raise ConfigError(f"prefix must be 'fft' or an integer, got {spec!r}") from None
 
     @property
     def effective_stride(self) -> int:
@@ -150,7 +135,24 @@ class RolloutConfig:
         return out
 
 
-_NULLABLE = ("stride", "prefix_length", "max_windows")  # int keys whose default is None
+def parse_prefix(spec) -> int | str:
+    """The `prefix` setting `spec` names: "fft", or a fixed prefix length, an int >= 0.
+
+    Takes the setting or its text; raises `ConfigError` for anything else.
+    """
+    value = spec.strip() if isinstance(spec, str) else spec
+    if value == "fft":
+        return value
+    try:
+        length = int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
+        length = -1  # refused below, with the negative lengths
+    if length < 0 or isinstance(spec, bool):
+        raise ConfigError(f"prefix must be 'fft' or an integer >= 0, got {spec!r}")
+    return length
+
+
+_NULLABLE = ("stride", "max_windows")  # int keys whose default is None
 _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
 
@@ -169,8 +171,9 @@ def _coerce(raw: str, target_type):
 def apply_overrides(config: RolloutConfig, pairs: dict[str, str]) -> RolloutConfig:
     """Apply string key=value overrides onto a rollout config (in place).
 
-    Each value parses as its key's current type; "none" or an empty value
-    resets one of the `_NULLABLE` keys, which otherwise parse as int.
+    `prefix` goes through `parse_prefix`, every other value parses as its
+    key's current type; "none" or an empty value resets one of the
+    `_NULLABLE` keys, which otherwise parse as int.
     """
     solver_keys = {f.name for f in dataclasses.fields(SolverConfig)}
     rollout_keys = {f.name for f in dataclasses.fields(RolloutConfig)} - {"solver"}
@@ -178,11 +181,13 @@ def apply_overrides(config: RolloutConfig, pairs: dict[str, str]) -> RolloutConf
         if key not in solver_keys | rollout_keys:
             raise ConfigError(f"unknown configuration key {key!r}")
         target = config.solver if key in solver_keys else config
-        if key in _NULLABLE and raw.strip().lower() in ("none", ""):
-            setattr(target, key, None)
+        if key == "prefix":
+            value = parse_prefix(raw)
+        elif key in _NULLABLE and raw.strip().lower() in ("none", ""):
+            value = None
         else:
-            kind = int if key in _NULLABLE else type(getattr(target, key))
-            setattr(target, key, _coerce(raw, kind))
+            value = _coerce(raw, int if key in _NULLABLE else type(getattr(target, key)))
+        setattr(target, key, value)
     config.validate()
     return config
 

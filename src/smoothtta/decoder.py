@@ -10,7 +10,11 @@ by hand and guarded by a central finite-difference gradient check.
 Training fits only the W1 columns with a nonzero feature in some training
 row; the other columns meet only zero features, carry no signal, and are zero
 in the trained decoder. AdamW updates the weights in place, in blocks of
-`_ADAM_BLOCK` (32768) entries.
+`_ADAM_BLOCK` (32768) entries. Training's settings are module constants,
+not arguments: AdamW's `_LEARNING_RATE`, `_WEIGHT_DECAY` and gradient-norm
+clip `_GRAD_CLIP`, its budget of `_EPOCHS` epochs of at most `_MAX_BATCHES`
+batches, and the gradient gate's `_GATE_SAMPLES` and `_GATE_TOLERANCE`. Only
+the seed is an argument.
 Inference (`decode_batch`) skips the zero padded-error and mask columns past
 the last observed step, and multiplies the mask and context blocks once per
 window, not once per channel.
@@ -38,6 +42,16 @@ _INPUTS = ("forecast", "local_field", "padded_error", "mask", "memory_template",
 _PROBE_CHUNK_BYTES = 2 << 20
 # Entries per block of AdamW's element-wise update (256 KiB of float64 per scratch buffer).
 _ADAM_BLOCK = 1 << 15
+# AdamW and its budget: learning rate, weight decay, global gradient-norm clip,
+# epochs, and batches per epoch (batches grow to cover the sample set).
+_LEARNING_RATE = 5e-4
+_WEIGHT_DECAY = 1e-4
+_GRAD_CLIP = 1.0
+_EPOCHS = 5
+_MAX_BATCHES = 16
+# Gradient gate: samples checked before training, and the worst relative error allowed.
+_GATE_SAMPLES = 20
+_GATE_TOLERANCE = 1e-4
 
 
 class UntrainedDecoderError(RuntimeError):
@@ -358,39 +372,30 @@ def gradient_check(
     return float(np.max(np.nan_to_num(rel, nan=np.inf), initial=0.0))
 
 
-@dataclass
-class TrainConfig:
-    learning_rate: float = 5e-4
-    weight_decay: float = 1e-4
-    grad_clip: float = 1.0
-    epochs: int = 5
-    max_batches: int = 16
-    seed: int = 0
-    check_gradients: bool = True
-    check_samples: int = 20
-    check_tolerance: float = 1e-4
-
-
 def train_decoder(
     params: DecoderParams,
     features: np.ndarray,
     targets: np.ndarray,
     local_fields: np.ndarray,
     gate: np.ndarray,
-    config: TrainConfig | None = None,
+    seed: int = 0,
 ) -> tuple[DecoderParams, list[float]]:
     """Fit the decoder against the fused-correction regression target.
 
-    AdamW with global gradient-norm clipping, a fixed epoch budget, and at
-    most `max_batches` batches per epoch (batches grow to cover the sample
-    set). Returns the trained parameters and the per-epoch loss trace.
+    AdamW (learning rate `_LEARNING_RATE`, weight decay `_WEIGHT_DECAY`) with
+    global gradient-norm clipping at `_GRAD_CLIP`, `_EPOCHS` epochs and at
+    most `_MAX_BATCHES` batches per epoch (batches grow to cover the sample
+    set). `seed` draws the gate's samples and each epoch's batch order.
+    Returns the trained parameters and the per-epoch loss trace.
 
-    A finite-difference gradient check on random samples gates the run; see
-    `gradient_check` for how its perturbed losses are evaluated. The
-    optimizer updates the weights and its moments in place and builds the
-    frozen `DecoderParams` once, after the last step. It drops `params` once
-    the gate has run and the weights are copied, so an inline `init_params(...)`
-    (CPython 3.11+ moves it into this frame) is freed before the optimizer runs.
+    A finite-difference gradient check on `_GATE_SAMPLES` random samples
+    gates the run: a worst relative error above `_GATE_TOLERANCE` raises
+    `GradientCheckError`. See `gradient_check` for how its perturbed losses
+    are evaluated. The optimizer updates the weights and its moments in place
+    and builds the frozen `DecoderParams` once, after the last step. It drops
+    `params` once the gate has run and the weights are copied, so an inline
+    `init_params(...)` (CPython 3.11+ moves it into this frame) is freed
+    before the optimizer runs.
 
     W1 is trained on its "used" columns only, those with a nonzero feature in
     some row: the forward pass, the gradients and AdamW run on a row-major
@@ -403,32 +408,21 @@ def train_decoder(
     relative error, the number of samples it checked, and the wall times of
     the gate and the optimizer.
     """
-    cfg = config or TrainConfig()
     n = features.shape[0]
     if n == 0:
         raise UntrainedDecoderError("no training samples")
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     started = time.perf_counter()
-    worst, n_check = float("nan"), 0
-    if cfg.check_gradients:
-        n_check = min(cfg.check_samples, n)
-        picks = rng.choice(n, size=n_check, replace=False)
-        worst = max(
-            gradient_check(
-                params,
-                features[i],
-                targets[i],
-                local_fields[i],
-                gate,
-                seed=cfg.seed + int(i),
-            )
-            for i in picks
+    n_check = min(_GATE_SAMPLES, n)
+    worst = max(
+        gradient_check(params, features[i], targets[i], local_fields[i], gate, seed=seed + int(i))
+        for i in rng.choice(n, size=n_check, replace=False)
+    )
+    if worst > _GATE_TOLERANCE:
+        raise GradientCheckError(
+            f"gradient check failed before training: max relative error {worst:.3e}"
         )
-        if worst > cfg.check_tolerance:
-            raise GradientCheckError(
-                f"gradient check failed before training: max relative error {worst:.3e}"
-            )
     checked = time.perf_counter()
 
     used = features.any(axis=0)  # W1 columns with a nonzero feature in some row
@@ -451,8 +445,8 @@ def train_decoder(
     #   m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g**2
     #   w = w - lr * ((m / bc1) / (sqrt(v / bc2) + eps) + wd * w)
     # element-wise over blocks, so it rounds like that expression written out of place.
-    batch_size = max(1, -(-n // cfg.max_batches))  # ceil: covers the set in <= max_batches
-    for _ in range(cfg.epochs):
+    batch_size = max(1, -(-n // _MAX_BATCHES))  # ceil: covers the set in <= _MAX_BATCHES
+    for _ in range(_EPOCHS):
         order = rng.permutation(n)
         epoch_losses = []
         for start in range(0, n, batch_size):
@@ -464,7 +458,7 @@ def train_decoder(
             epoch_losses.append(loss)
 
             norm = np.sqrt(sum(float(np.sum(np.square(g))) for g in grads.values()))
-            scale = cfg.grad_clip / norm if norm > cfg.grad_clip else 1.0
+            scale = _GRAD_CLIP / norm if norm > _GRAD_CLIP else 1.0
 
             step += 1
             bc1 = 1.0 - beta1**step
@@ -488,9 +482,9 @@ def train_decoder(
                     a += eps
                     np.divide(mk, bc1, out=b)
                     b /= a
-                    np.multiply(wb, cfg.weight_decay, out=a)
+                    np.multiply(wb, _WEIGHT_DECAY, out=a)
                     a += b
-                    a *= cfg.learning_rate
+                    a *= _LEARNING_RATE
                     wb -= a
         trace.append(float(np.mean(epoch_losses)))
     live = m = v = grads = None  # free the optimizer state before the frozen copy

@@ -10,11 +10,12 @@ No trainable weights anywhere in this branch.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import TransferOperator
+from .chain import TransferOperator, build_transfer_operator
 
 
 @dataclass(frozen=True)
@@ -111,15 +112,13 @@ def _solve_2x2(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
-_propagators: dict[tuple[int, float, int], np.ndarray] = {}
-
-
-def _propagator(op: TransferOperator, a: int) -> np.ndarray:
-    """Cached (H, a) map from a raw prefix error to its propagated fast part."""
-    key = (op.horizon, op.alpha, a)
-    if key not in _propagators:  # drift removal is linear: its matrix is the fast part of I
-        _propagators[key] = op.prefix_columns(a) @ extract_fast_error(np.eye(a))
-    return _propagators[key]
+@functools.lru_cache(maxsize=None)
+def _propagator(horizon: int, alpha: float, a: int) -> np.ndarray:
+    """Cached read-only (H, a) map from a raw prefix error to its propagated fast part."""
+    columns = build_transfer_operator(horizon, alpha).prefix_columns(a)
+    P = columns @ extract_fast_error(np.eye(a))  # drift removal is linear: the fast part of I
+    P.flags.writeable = False  # shared by every caller
+    return P
 
 
 def solve_local(
@@ -143,7 +142,8 @@ def solve_local(
     if a > H:
         raise ValueError(f"prefix length {a} exceeds operator horizon {H}")
     columns = R.transpose(k, *range(k), k + 1).reshape(a, -1)  # every (window, channel) at once
-    harm = (_propagator(op, a) @ columns).reshape(H, *lead, d).transpose(*range(1, k + 1), 0, k + 1)
+    harm = _propagator(H, op.alpha, a) @ columns
+    harm = harm.reshape(H, *lead, d).transpose(*range(1, k + 1), 0, k + 1)
     level = np.add.reduce(R, axis=-2, keepdims=True) / a
     # the level repeated along the steps as a read-only stride-0 view, as np.broadcast_to makes
     bias = np.ndarray(harm.shape, float, level, strides=level.strides[:-2] + (0, level.itemsize))

@@ -124,7 +124,7 @@ def run_sparse_boundary(
         "far": slice(far_steps[0] - 1, far_steps[1]),
     }
     cfg = copy.deepcopy(config)
-    cfg.set_prefix(k)
+    cfg.prefix = k
     return rollout(backbone, dataset, cfg, decoder_params, extra_slices=slices)
 
 
@@ -173,22 +173,25 @@ def run_sweep(
     decoder_params: DecoderParams | None,
     parameter: str,
     grid: tuple | None = None,
-) -> list[dict]:
-    """One rollout per grid point with a shared checkpoint; tidy rows out."""
+) -> dict[object, EvalReport]:
+    """One rollout per grid point with a shared checkpoint, by grid point.
+
+    `grid` defaults to `SWEEP_GRIDS[parameter]` and may hold no point twice.
+    """
     if parameter not in SWEEP_GRIDS:
         raise ValueError(f"unknown sweep parameter {parameter!r}; choose from {list(SWEEP_GRIDS)}")
     points = grid if grid is not None else SWEEP_GRIDS[parameter]
-    rows = []
+    if len(set(points)) < len(points):
+        raise ValueError(f"sweep grid repeats a point: {tuple(points)}")
+    reports = {}
     for value in points:
         cfg = copy.deepcopy(config)
         if parameter == "prefix":
-            cfg.set_prefix(value)
+            cfg.prefix = value
         else:
             setattr(cfg.solver, parameter, float(value))
-        report = rollout(backbone, dataset, cfg, decoder_params)
-        keys = ("mse_base", "mse_corrected", "mae_corrected", "improvement")
-        rows.append(report.summary_row(keys, parameter=parameter, value=value))
-    return rows
+        reports[value] = rollout(backbone, dataset, cfg, decoder_params)
+    return reports
 
 
 @dataclass
@@ -232,7 +235,7 @@ def bench_latency(
             H, base.lookback, channels, n_test_windows=batch, seed=seed, solver=base.solver
         )
         cfg = fx.config
-        cfg.set_prefix(prefix)
+        cfg.prefix = prefix
         params = init_params(**decoder_shape(cfg), seed=seed)
         rollout(fx.backbone, fx.dataset, cfg, params)  # warm-up
         times = []

@@ -52,8 +52,8 @@ from .boundary import (PrefixBoundary, contaminate_errors, derive_seeds, estimat
 from .chain import build_transfer_operator
 from .config import RolloutConfig
 from .data import DataError, Dataset
-from .decoder import (DecoderParams, TrainConfig, build_features, decode, decode_batch,
-                      feature_blocks, init_params, input_width, train_decoder)
+from .decoder import (DecoderParams, build_features, decode, decode_batch, feature_blocks,
+                      init_params, input_width, train_decoder)
 from .fusion import fuse, global_gate
 from .local import solve_local
 from .memory import (
@@ -93,8 +93,8 @@ class EvalReport:
     def n_windows(self) -> int:
         return len(self.rows)
 
-    def aggregate(self, skip: int = 0) -> dict:
-        return aggregate_rows(self.rows, skip=skip)
+    def aggregate(self) -> dict:
+        return aggregate_rows(self.rows)
 
     def summary(self) -> dict:
         return {
@@ -263,12 +263,10 @@ def _boundaries(X, forecasts, residuals, windows, config: RolloutConfig,
         masks[np.arange(n)[:, None], prefix_hits(keys, support, count, 1)[0][:, 0]] = 1.0
         return np.full(n, support), masks, np.where(masks[..., None] > 0, residuals, 0.0)
 
-    if config.prefix_mode == "fixed":
-        p = config.prefix_length
-        lengths = np.full(n, select_prefix_length(p, p, H, floor))
-    else:  # the delayed-revelation budget equals the period estimate
-        periods = estimate_periods(X, fallback=floor).tolist()
-        lengths = np.array([select_prefix_length(p, p, H, floor) for p in periods], dtype=int)
+    # the delayed-revelation budget: each window's period estimate, or the fixed prefix
+    fft = config.prefix == "fft"
+    periods = estimate_periods(X, fallback=floor).tolist() if fft else n * [config.prefix]
+    lengths = np.array([select_prefix_length(p, p, H, floor) for p in periods], dtype=int)
     masks = (np.arange(H) < lengths[:, None]).astype(float)
     padded = np.where(masks[..., None] > 0, residuals, 0.0)
     if contamination_ratio > 0:
@@ -526,7 +524,7 @@ def fit_decoder(trainset, config: RolloutConfig) -> tuple[DecoderParams, list[fl
     """`train_decoder` on a `build_decoder_training_set` result, from a fresh `decoder_shape`."""
     feats, targets, locals_, gate = trainset  # no star call: its argument tuple holds the init
     return train_decoder(init_params(**decoder_shape(config), seed=config.seed),  # inline: freed
-                         feats, targets, locals_, gate, TrainConfig(seed=config.seed))
+                         feats, targets, locals_, gate, seed=config.seed)
 
 
 def train_decoder_for(backbone, dataset: Dataset, config: RolloutConfig):

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from smoothtta import decoder as dec
-from smoothtta.decoder import TrainConfig, TrainingDivergedError
+from smoothtta.decoder import TrainingDivergedError
 
 
 def gradient_check(params, features, target, local_field, gate, step=1e-4,
@@ -56,20 +56,20 @@ def gradient_check(params, features, target, local_field, gate, step=1e-4,
     return worst
 
 
-def adamw(params, features, targets, local_fields, gate, config: TrainConfig):
+def adamw(params, features, targets, local_fields, gate, seed=0):
     """The optimizer half of `train_decoder` (no gradient gate), out of place.
 
-    Draws the gate's sample picks from the RNG first when the config checks
-    gradients, so that its batch order matches `train_decoder`'s. W1 is
-    trained on the columns with a nonzero feature in some row, as a row-major
-    copy against each batch's row-major used features; the returned
-    `DecoderParams` holds zeros in the other columns.
+    Reads the optimizer's settings from the same `smoothtta.decoder` module
+    constants, at call time, so a test that patches one patches both. Draws
+    the gate's sample picks from the RNG first, so that its batch order
+    matches `train_decoder`'s. W1 is trained on the columns with a nonzero
+    feature in some row, as a row-major copy against each batch's row-major
+    used features; the returned `DecoderParams` holds zeros in the other
+    columns.
     """
-    cfg = config
     n = features.shape[0]
-    rng = np.random.default_rng(cfg.seed)
-    if cfg.check_gradients:
-        rng.choice(n, size=min(cfg.check_samples, n), replace=False)
+    rng = np.random.default_rng(seed)
+    rng.choice(n, size=min(dec._GATE_SAMPLES, n), replace=False)
 
     used = features.any(axis=0)
     weights = {name: np.array(getattr(params, name)) for name in ("W1", "b1", "W2", "b2")}
@@ -80,8 +80,8 @@ def adamw(params, features, targets, local_fields, gate, config: TrainConfig):
     step = 0
     trace = []
 
-    batch_size = max(1, -(-n // cfg.max_batches))
-    for _ in range(cfg.epochs):
+    batch_size = max(1, -(-n // dec._MAX_BATCHES))
+    for _ in range(dec._EPOCHS):
         order = rng.permutation(n)
         epoch_losses = []
         for start in range(0, n, batch_size):
@@ -97,7 +97,7 @@ def adamw(params, features, targets, local_fields, gate, config: TrainConfig):
 
             total_sq = sum(float(np.sum(g**2)) for g in grads.values())
             norm = np.sqrt(total_sq)
-            scale = cfg.grad_clip / norm if norm > cfg.grad_clip else 1.0
+            scale = dec._GRAD_CLIP / norm if norm > dec._GRAD_CLIP else 1.0
 
             step += 1
             bc1 = 1.0 - beta1**step
@@ -107,8 +107,8 @@ def adamw(params, features, targets, local_fields, gate, config: TrainConfig):
                 m[name] = beta1 * m[name] + (1 - beta1) * g
                 v[name] = beta2 * v[name] + (1 - beta2) * g**2
                 update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
-                weights[name] = weights[name] - cfg.learning_rate * (
-                    update + cfg.weight_decay * weights[name]
+                weights[name] = weights[name] - dec._LEARNING_RATE * (
+                    update + dec._WEIGHT_DECAY * weights[name]
                 )
         trace.append(float(np.mean(epoch_losses)))
     W1 = np.zeros(params.W1.shape)

@@ -89,11 +89,11 @@ def cases():
     out = [
         ("fft", lambda: _rows(rollout(bb, ds, fx.config, params))),
         ("fixed5", lambda: _rows(rollout(
-            bb, ds, _cfg(fx, prefix_mode="fixed", prefix_length=5), params))),
+            bb, ds, _cfg(fx, prefix=5), params))),
         ("override0", lambda: _rows(rollout(
-            bb, ds, _cfg(fx, prefix_mode="fixed", prefix_length=0), params))),
+            bb, ds, _cfg(fx, prefix=0), params))),
         ("override3_slices", lambda: _rows(rollout(
-            bb, ds, _cfg(fx, prefix_mode="fixed", prefix_length=3), params,
+            bb, ds, _cfg(fx, prefix=3), params,
             extra_slices=slices))),
         ("contaminate", lambda: _rows(rollout(
             bb, ds, fx.config, params, contamination_ratio=0.2, contamination_sigma=sigma))),
@@ -127,7 +127,7 @@ def cases():
                 "global_only": True, "no_memory": True, "no_bound": True,
             })))),
         ("trainset_local_only_fixed", lambda: _trainset(build_decoder_training_set(
-            bb, ds, _cfg(fx, stride=4, prefix_mode="fixed", prefix_length=3,
+            bb, ds, _cfg(fx, stride=4, prefix=3,
                          solver={"local_only": True})))),
     ]
     return out

@@ -75,10 +75,10 @@ def run_loop(backbone, dataset, config, params, *, contamination=0.0, gaps=(1,),
                 memory = update_memory(memory, batch)
         X = values[t - L : t]
         forecast = backbone.predict(X, start=t)
-        if config.prefix_mode == "fixed":
-            period = config.prefix_length
-        else:
+        if config.prefix == "fft":
             period = estimate_dominant_period(X, fallback=s.min_prefix_support)
+        else:
+            period = config.prefix
         a = select_prefix_length(period, period, H, s.min_prefix_support)
         Y = values[t : t + H]
         bnd = build_boundary(Y[:a], forecast, a)
@@ -122,7 +122,7 @@ def cases():
     params = init_params(H, s.context_size, hidden=10, output_scale=s.global_scale, seed=7)
 
     def fixed(a):
-        return _cfg(prefix_mode="fixed", prefix_length=a)
+        return _cfg(prefix=a)
 
     return [
         ("fft", lambda: run_loop(linear, ds, _cfg(), params)),

@@ -257,7 +257,7 @@ def test_sparse_boundary_rejects_k_at_horizon(workdir):
 
 @pytest.mark.parametrize(
     "extra",
-    [["--prefix", "5"], ["--set", "prefix_mode=fixed", "--set", "prefix_length=3"]],
+    [["--prefix", "5"], ["--set", "prefix=3"]],
     ids=["prefix-flag", "set"],
 )
 def test_sparse_boundary_rejects_a_fixed_prefix(workdir, extra):
@@ -353,8 +353,15 @@ def test_sweep_command(workdir):
         cwd=workdir,
     )
     assert res.returncode == 0, res.stderr
-    text = (workdir / "run_sw/sweep/sweep.csv").read_text()
+    out = workdir / "run_sw/sweep"
+    text = (out / "sweep.csv").read_text()
     assert text.count("\n") == 3  # header + 2 grid points
+    for value in ("0", "0.5"):  # each grid point's rollout, with its timing
+        manifest = json.loads((out / f"manifest_memory_decay_{value}.json").read_text())
+        rows = (out / f"metrics_memory_decay_{value}.csv").read_text().splitlines()
+        assert manifest["n_windows"] == len(rows) - 1
+        assert manifest["config"]["solver"]["memory_decay"] == float(value)
+        assert manifest["timing"]["rollout_seconds"] >= 0.0
 
 
 def test_bench_command(workdir):
@@ -588,7 +595,10 @@ def test_a_setting_numpy_cannot_allocate_exits_2(workdir, capsys):
     assert "array with shape" in err
 
 
-@pytest.mark.parametrize("parameter, grid", [("memory_decay", "0.5,x"), ("prefix", "2,x")])
+@pytest.mark.parametrize("parameter, grid", [
+    ("memory_decay", "0.5,x"), ("prefix", "2,x"),
+    ("memory_decay", "0.5,0.50"), ("memory_decay", "0.1,0.1000001"), ("prefix", "2,fft,02"),
+])
 def test_sweep_rejects_a_bad_grid_before_fitting(workdir, monkeypatch, capsys, parameter, grid):
     def must_not_run(*args, **kwargs):
         raise AssertionError("fitted or trained before the grid was parsed")
@@ -672,11 +682,11 @@ def _in_process(workdir, command, *extra, out="run_in_process"):
 @pytest.mark.parametrize(
     "command, extra, message",
     [
-        ("rollout", ["--prefix=-3"], "prefix_length >= 0"),
-        ("sweep", ["--parameter", "prefix", "--grid=-2,3"], "prefix_length >= 0"),
+        ("rollout", ["--prefix=-3"], "prefix must be"),
+        ("sweep", ["--parameter", "prefix", "--grid=-2,3"], "prefix must be"),
         ("rollout", ["--max-windows", "-1"], "max_windows must be >= 1"),
         ("rollout", ["--max-windows", "0"], "max_windows must be >= 1"),
-        ("rollout", ["--set", "prefix_length=-4"], "prefix_length >= 0"),
+        ("rollout", ["--set", "prefix=-4"], "prefix must be"),
         ("rollout", ["--seed", "-1"], "seed must be >= 0"),
         ("contaminate", ["--local-only", "--seed", "-1", "--ratios", "0,0.1"], "seed must be >= 0"),
     ],
@@ -700,8 +710,81 @@ def test_sparse_boundary_manifest_records_the_fixed_prefix(workdir):
     extra = ["--k", "2", "--near", "2:4", "--far", "6:8"]
     assert _in_process(workdir, "sparse-boundary", *extra, out="run_sb_manifest") == 0
     manifest = json.loads((workdir / "run_sb_manifest/sparse-boundary/manifest.json").read_text())
-    assert manifest["config"]["prefix_mode"] == "fixed"
-    assert manifest["config"]["prefix_length"] == 2
+    assert manifest["config"]["prefix"] == 2
+
+
+def _refuse_data_and_fits(monkeypatch):
+    def refused(*args, **kwargs):
+        pytest.fail("read data or fitted before refusing the flag")
+
+    monkeypatch.setattr(cli, "load_csv", refused)
+    monkeypatch.setattr(bb, "fit_linear_backbone", refused)
+    monkeypatch.setattr(cli, "train_decoder_for", refused)
+
+
+@pytest.mark.parametrize("pair", ["prefix_length=5", "prefix_mode=fixed"])
+def test_the_old_prefix_keys_exit_2(workdir, capsys, pair):
+    assert _in_process(workdir, "rollout", "--set", pair, out="run_old_prefix_key") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: unknown configuration key")
+    assert not (workdir / "run_old_prefix_key").exists()
+
+
+def test_every_prefix_spelling_gives_the_same_metrics(workdir):
+    (workdir / "prefix5.cfg").write_text("prefix = 5\n")
+    spellings = {"flag": ["--prefix", "5"], "set": ["--set", "prefix=5"],
+                 "config": ["--config", str(workdir / "prefix5.cfg")]}
+    texts = {}
+    for name, extra in spellings.items():
+        assert _in_process(workdir, "rollout", *extra, out=f"run_prefix5_{name}") == 0
+        texts[name] = (workdir / f"run_prefix5_{name}/rollout/metrics.csv").read_bytes()
+    assert texts["set"] == texts["flag"] and texts["config"] == texts["flag"]
+    lines = texts["flag"].decode().splitlines()
+    column = lines[0].split(",").index("prefix_length")
+    assert lines[1:] and all(line.split(",")[column] == "5" for line in lines[1:])
+
+
+@pytest.mark.parametrize("value", ["-1", "x"])
+@pytest.mark.parametrize("spelling", ["flag", "set", "config", "sweep-grid"])
+def test_a_bad_prefix_exits_2_before_any_data_is_read(
+    workdir, capsys, monkeypatch, spelling, value
+):
+    _refuse_data_and_fits(monkeypatch)
+    config = workdir / f"prefix_{value}.cfg"
+    config.write_text(f"prefix = {value}\n")
+    command, extra = {
+        "flag": ("rollout", [f"--prefix={value}"]),
+        "set": ("rollout", ["--set", f"prefix={value}"]),
+        "config": ("rollout", ["--config", str(config)]),
+        "sweep-grid": ("sweep", ["--parameter", "prefix", f"--grid=2,{value}"]),
+    }[spelling]
+    assert _in_process(workdir, command, *extra, out="run_bad_prefix") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "prefix must be" in err
+    assert not (workdir / "run_bad_prefix").exists()
+
+
+@pytest.mark.parametrize(
+    "command, extra, flag",
+    [
+        ("sparse-boundary", ["--k", "999"], "--k"),
+        ("sparse-boundary", ["--k", "2", "--prefix", "3", "--near", "2:4", "--far", "6:8"], "--k"),
+        ("sparse-boundary", ["--k", "2", "--near", "2:40", "--far", "6:8"], "--near"),
+        ("sparse-boundary", ["--k", "2", "--near", "2:4", "--far", "6:80"], "--far"),
+        ("sparse-anchor", ["--support", "0"], "--support"),
+        ("sparse-anchor", ["--support", "4", "--eval", "5:90"], "--eval"),
+    ],
+)
+def test_protocol_flags_are_checked_before_any_data_is_read(
+    workdir, capsys, monkeypatch, command, extra, flag
+):
+    _refuse_data_and_fits(monkeypatch)
+    argv = [command, "--data", str(workdir / "toy.csv"), *COMMON,
+            "--out-dir", str(workdir / "run_bad_protocol_flag"), *extra]
+    assert cli.main(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("configuration error:") and flag in line
+    assert not (workdir / "run_bad_protocol_flag").exists()
 
 
 def _container(path, head, payload: bytes) -> None:

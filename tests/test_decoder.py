@@ -11,7 +11,6 @@ import smoothtta.decoder as dec
 from smoothtta.decoder import (
     DecoderParams,
     GradientCheckError,
-    TrainConfig,
     TrainingDivergedError,
     UntrainedDecoderError,
     _loss_and_grads,
@@ -217,7 +216,7 @@ def test_gradient_check_fails_on_a_nan_feature():
     feats[0] = np.nan
     assert gradient_check(p, feats, target, local, gate) == np.inf
     with pytest.raises(GradientCheckError):
-        train_decoder(p, feats[None], target[None], local[None], gate, TrainConfig(check_samples=1))
+        train_decoder(p, feats[None], target[None], local[None], gate)
 
 
 def test_gradient_check_detects_corrupted_gradient():
@@ -265,21 +264,19 @@ def _training_set(n=60, d_seed=0):
 
 def test_training_reduces_loss():
     p, feats, target, local, gate = _training_set()
-    trained, trace = train_decoder(
-        p, feats, target, local, gate, TrainConfig(epochs=5, seed=0, check_samples=3)
-    )
-    assert len(trace) == 5
+    trained, trace = train_decoder(p, feats, target, local, gate)
+    assert len(trace) == dec._EPOCHS
     assert trace[-1] <= trace[0]
     loss_before, _ = _loss_and_grads(p, feats, target, local, gate)
     loss_after, _ = _loss_and_grads(trained, feats, target, local, gate)
     assert loss_after < loss_before
 
 
-def test_training_batch_budget():
+def test_training_batch_budget(monkeypatch):
+    # the gate stubbed out, so every counted pass is an optimizer batch
+    monkeypatch.setattr(dec, "gradient_check", lambda *args, **kwargs: 0.0)
     p, feats, target, local, gate = _training_set(n=100)
     counted = []
-    import smoothtta.decoder as dec
-
     original = dec._loss_and_grads
 
     def counting(*args, **kwargs):
@@ -288,11 +285,10 @@ def test_training_batch_budget():
 
     dec._loss_and_grads = counting
     try:
-        train_decoder(p, feats, target, local, gate,
-                      TrainConfig(epochs=5, max_batches=16, seed=0, check_gradients=False))
+        train_decoder(p, feats, target, local, gate)
     finally:
         dec._loss_and_grads = original
-    assert len(counted) <= 5 * 16
+    assert len(counted) <= dec._EPOCHS * dec._MAX_BATCHES
 
 
 def test_training_empty_set_rejected():
@@ -303,17 +299,18 @@ def test_training_empty_set_rejected():
 
 def test_training_aborts_on_nan_with_trace():
     p, feats, target, local, gate = _training_set()
-    feats[0, 0] = np.nan
+    # a row the gate does not check, so the optimizer meets the NaN
+    checked = np.random.default_rng(0).choice(len(feats), dec._GATE_SAMPLES, replace=False)
+    feats[np.setdiff1d(np.arange(len(feats)), checked)[0], 0] = np.nan
     with pytest.raises(TrainingDivergedError) as err:
-        train_decoder(p, feats, target, local, gate, TrainConfig(check_gradients=False))
+        train_decoder(p, feats, target, local, gate)
     assert hasattr(err.value, "trace")
 
 
 def test_training_is_seed_deterministic():
     p, feats, target, local, gate = _training_set()
-    cfg = TrainConfig(seed=5, check_gradients=False)
-    one, trace_one = train_decoder(p, feats, target, local, gate, cfg)
-    two, trace_two = train_decoder(p, feats, target, local, gate, cfg)
+    one, trace_one = train_decoder(p, feats, target, local, gate, seed=5)
+    two, trace_two = train_decoder(p, feats, target, local, gate, seed=5)
     assert one.digest() == two.digest()
     assert trace_one == trace_two
 
@@ -424,21 +421,23 @@ def test_gradient_check_catches_each_corrupted_block(block, position, monkeypatc
     monkeypatch.setattr(dec, "_loss_and_grads", _corrupting(block, position))
     assert gradient_check(p, feats, target, local, gate) > 1e-2
     with pytest.raises(GradientCheckError):
-        train_decoder(p, feats, target, local, gate, TrainConfig(check_samples=1))
+        train_decoder(p, feats, target, local, gate)
 
 
 @pytest.mark.parametrize(
-    "config",
+    "config",  # the seed, then the module constants to patch
     [
-        TrainConfig(epochs=4, seed=0, check_samples=3),
-        TrainConfig(epochs=3, seed=2, max_batches=5, check_gradients=False),
-        TrainConfig(epochs=2, seed=1, grad_clip=1e-3, learning_rate=1e-2),
+        (0, {"_EPOCHS": 4, "_GATE_SAMPLES": 3}),
+        (2, {"_EPOCHS": 3, "_MAX_BATCHES": 5}),
+        (1, {"_EPOCHS": 2, "_GRAD_CLIP": 1e-3, "_LEARNING_RATE": 1e-2}),
     ],
 )
 def test_in_place_adamw_matches_out_of_place_reference(config):
+    seed, constants = config
     p, feats, target, local, gate = _training_set(n=70, d_seed=3)
-    trained, trace = train_decoder(p, feats, target, local, gate, config)
-    expected, expected_trace = reference.adamw(p, feats, target, local, gate, config)
+    with mock.patch.multiple(dec, **constants):
+        trained, trace = train_decoder(p, feats, target, local, gate, seed=seed)
+        expected, expected_trace = reference.adamw(p, feats, target, local, gate, seed=seed)
     for name in ("W1", "b1", "W2", "b2"):
         assert np.array_equal(getattr(trained, name), getattr(expected, name))
     assert trace == expected_trace
@@ -489,10 +488,12 @@ def test_used_column_adamw_matches_dense_reference_bit_for_bit(
     local = 0.1 * rng.standard_normal((rows, horizon))
     target = local + 0.3 + 0.05 * rng.standard_normal((rows, horizon))
     gate = rng.uniform(0.0, 1.0, horizon)
-    cfg = TrainConfig(epochs=2, max_batches=max_batches, seed=seed, grad_clip=clip,
-                      check_gradients=check, check_samples=2)
-    trained, trace = train_decoder(p, feats, target, local, gate, cfg)
-    expected, expected_trace = reference.adamw(p, feats, target, local, gate, cfg)
+    constants = {"_EPOCHS": 2, "_MAX_BATCHES": max_batches, "_GRAD_CLIP": clip, "_GATE_SAMPLES": 2}
+    # no-gate stubs the check out: the optimizer meets the gate only through its RNG draws
+    stub = {} if check else {"gradient_check": lambda *args, **kwargs: 0.0}
+    with mock.patch.multiple(dec, **constants, **stub):
+        trained, trace = train_decoder(p, feats, target, local, gate, seed=seed)
+        expected, expected_trace = reference.adamw(p, feats, target, local, gate, seed=seed)
     for name in ("W1", "b1", "W2", "b2"):
         assert getattr(trained, name).tobytes() == getattr(expected, name).tobytes(), name
     assert np.array(trace).tobytes() == np.array(expected_trace).tobytes()
@@ -505,18 +506,20 @@ def test_blocked_adamw_matches_the_dense_reference_for_any_block_size(monkeypatc
     p, feats, target, local, gate = _training_set(n=40, d_seed=5)
     feats[:, 2 * H + 2 : 3 * H] = 0.0  # padded error past step 2
     feats[:, 4 * H :] = -0.0  # memory and context
-    cfg = TrainConfig(epochs=2, seed=4, grad_clip=1e-3, check_gradients=False)
-    trained, trace = train_decoder(p, feats, target, local, gate, cfg)
-    expected, expected_trace = reference.adamw(p, feats, target, local, gate, cfg)
+    monkeypatch.setattr(dec, "_EPOCHS", 2)
+    monkeypatch.setattr(dec, "_GRAD_CLIP", 1e-3)
+    trained, trace = train_decoder(p, feats, target, local, gate, seed=4)
+    expected, expected_trace = reference.adamw(p, feats, target, local, gate, seed=4)
     assert trained.digest() == expected.digest()
     assert trace == expected_trace
 
 
-def test_trained_decoder_ignores_inputs_it_was_never_trained_on():
+def test_trained_decoder_ignores_inputs_it_was_never_trained_on(monkeypatch):
+    monkeypatch.setattr(dec, "_EPOCHS", 2)
     p, feats, target, local, gate = _training_set(n=20, d_seed=4)
     blocks = dec.feature_blocks(H, K)
     feats[:, blocks["memory"].start :] = 0.0  # memory and context
-    trained, _ = train_decoder(p, feats, target, local, gate, TrainConfig(epochs=2, seed=3))
+    trained, _ = train_decoder(p, feats, target, local, gate, seed=3)
     unused = trained.W1[:, blocks["memory"].start :]
     assert not unused.any() and not np.signbit(unused).any()
     rng = np.random.default_rng(7)
@@ -531,10 +534,12 @@ def test_trained_decoder_ignores_inputs_it_was_never_trained_on():
     assert zero.tobytes() == rand.tobytes()
 
 
-def test_training_logs_gate_and_optimizer(caplog):
+def test_training_logs_gate_and_optimizer(caplog, monkeypatch):
+    monkeypatch.setattr(dec, "_EPOCHS", 2)
+    monkeypatch.setattr(dec, "_GATE_SAMPLES", 3)
     p, feats, target, local, gate = _training_set()
     with caplog.at_level("INFO", logger="smoothtta.decoder"):
-        train_decoder(p, feats, target, local, gate, TrainConfig(epochs=2, check_samples=3))
+        train_decoder(p, feats, target, local, gate)
     (record,) = [r for r in caplog.records if r.name == "smoothtta.decoder"]
     assert record.levelname == "INFO"
     worst, samples, gate_s, steps, optimizer_s = record.args
@@ -544,7 +549,8 @@ def test_training_logs_gate_and_optimizer(caplog):
     assert gate_s >= 0.0 and optimizer_s >= 0.0
 
 
-def test_training_peak_memory_stays_within_its_w1_sized_buffers():
+def test_training_peak_memory_stays_within_its_w1_sized_buffers(monkeypatch):
+    monkeypatch.setattr(dec, "_EPOCHS", 2)
     # eval-h720's dead columns: memory and context zero, padded error and mask
     # zero past the prefix. Above its inputs, training may hold two dense W1
     # (the trained one and its frozen copy), four copies of the used columns
@@ -568,14 +574,15 @@ def test_training_peak_memory_stays_within_its_w1_sized_buffers():
 
     tracemalloc.start()
     try:
-        train_decoder(p, feats, target, local, gate, TrainConfig(epochs=2, check_gradients=False))
+        train_decoder(p, feats, target, local, gate)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= bound, f"peak {peak / p.W1.nbytes:.2f} W1, bound {bound / p.W1.nbytes:.2f} W1"
 
 
-def test_training_holds_one_w1_layout():
+def test_training_holds_one_w1_layout(monkeypatch):
+    monkeypatch.setattr(dec, "_EPOCHS", 2)
     # the setup of the peak-memory test above. While it steps, training holds
     # the used W1 columns, their m and v, and two gradients (the last step's
     # while the next is computed, or one and its square for the norm); once it
@@ -599,8 +606,7 @@ def test_training_holds_one_w1_layout():
 
     tracemalloc.start()
     try:
-        train_decoder(p, feats, local + 0.3, local, gate,
-                      TrainConfig(epochs=2, check_gradients=False))
+        train_decoder(p, feats, local + 0.3, local, gate)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

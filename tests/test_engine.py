@@ -84,10 +84,10 @@ def reference_rollout(backbone, dataset, config, params):
         forecast = backbone.predict(X, start=t)
         if not np.all(np.isfinite(forecast)):
             continue
-        if config.prefix_mode == "fixed":
-            period = config.prefix_length
-        else:
+        if config.prefix == "fft":
             period = estimate_dominant_period(X, fallback=s.min_prefix_support)
+        else:
+            period = config.prefix
         a = select_prefix_length(period, period, H, s.min_prefix_support)
         Y = values[t : t + H]
         delta, _ = correct_window(forecast, build_boundary(Y[:a], forecast, a), memory, params,
@@ -134,7 +134,7 @@ def test_batched_rollout_equals_sequential_reference(
                         max_windows=windows, solver=SolverConfig(memory_decay=decay))
     cfg = variant_config(cfg, variant)
     if prefix is not None:
-        cfg.prefix_mode, cfg.prefix_length = "fixed", min(prefix, H)
+        cfg.prefix = min(prefix, H)
     inner = fit_linear_backbone(ds.part("train"), L, H)
     lo, hi = ds.range_of("test")
     starts = range(lo + L, hi - H + 1, stride)

@@ -111,7 +111,8 @@ def _old_fit(harmonic, bias, R, ridge_coef, coef_clip, response_mix):
 def _old_solve_local(R, op, ridge_coef, coef_clip, response_mix):
     *lead, a, d = R.shape
     columns = np.moveaxis(R, -2, 0).reshape(a, -1)
-    harm = np.moveaxis((_propagator(op, a) @ columns).reshape(op.horizon, *lead, d), 0, -2)
+    P = _propagator(op.horizon, op.alpha, a)
+    harm = np.moveaxis((P @ columns).reshape(op.horizon, *lead, d), 0, -2)
     bias = np.broadcast_to(R.mean(axis=-2, keepdims=True), harm.shape)
     return _old_fit(harm, bias, R, ridge_coef, coef_clip, response_mix)
 

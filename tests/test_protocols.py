@@ -183,19 +183,23 @@ def test_sweep_default_grids_match_reference():
 
 
 def test_sweep_produces_one_row_per_grid_point(fx, trained):
-    rows = run_sweep(
+    reports = run_sweep(
         fx.backbone, fx.dataset, fx.config, trained, "memory_decay", grid=(0.0, 0.5)
     )
-    assert [r["value"] for r in rows] == [0.0, 0.5]
-    assert all(r["mse_corrected"] > 0 for r in rows)
+    assert list(reports) == [0.0, 0.5]
+    assert all(r.aggregate()["mse_corrected"] > 0 for r in reports.values())
+    assert [r.manifest["solver"]["memory_decay"] for r in reports.values()] == [0.0, 0.5]
+    with pytest.raises(ValueError, match="repeats a point"):
+        run_sweep(fx.backbone, fx.dataset, fx.config, trained, "memory_decay", grid=(0.5, 0.5))
 
 
 def test_sweep_prefix_grid_switches_modes(fx, trained):
-    rows = run_sweep(
+    reports = run_sweep(
         fx.backbone, fx.dataset, fx.config, trained, "prefix", grid=(2, "fft")
     )
-    assert rows[0]["value"] == 2
-    assert rows[1]["value"] == "fft"
+    assert list(reports) == [2, "fft"]
+    assert all(row["prefix_length"] == 2 for row in reports[2].rows)
+    assert reports["fft"].manifest["prefix"] == "fft"
 
 
 def test_sweep_rejects_unknown_parameter(fx, trained):
@@ -208,7 +212,7 @@ def test_bench_times_the_engine_rollout():
         results = bench_latency(horizons=(8, 16), batch=3, channels=2, prefix=3, repetitions=4)
     assert spy.call_count == 2 * (4 + 1)  # one untimed warm-up per horizon
     for (backbone, dataset, cfg, params), _ in spy.call_args_list:
-        assert (cfg.prefix_mode, cfg.prefix_length, cfg.max_windows) == ("fixed", 3, 3)
+        assert (cfg.prefix, cfg.max_windows) == (3, 3)
         assert dataset.channels == 2 and params.horizon == cfg.horizon
     assert [r.horizon for r in results] == [8, 16]
 

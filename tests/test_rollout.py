@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothtta.backbones import BiasedOracleForecaster
-from smoothtta.config import (ABLATION_SWITCHES, ConfigError, RolloutConfig, SolverConfig,
-                              apply_overrides)
+from smoothtta.config import (_NULLABLE, ABLATION_SWITCHES, ConfigError, RolloutConfig,
+                              SolverConfig, apply_overrides)
 from smoothtta.decoder import (FEATURE_LAYOUT, DecoderParams, decode_batch, feature_blocks,
                                init_params)
 from smoothtta.fusion import fuse
@@ -198,7 +198,7 @@ def test_rollout_hashes_the_decoder_once(small_fixture, monkeypatch):
 def test_zero_prefix_override_reduces_to_zero_shot(small_fixture):
     fx = small_fixture
     cfg = copy.deepcopy(fx.config)
-    cfg.set_prefix(0)
+    cfg.prefix = 0
     report = rollout(fx.backbone, fx.dataset, cfg, None)
     for row in report.rows:
         assert row["prefix_length"] == 0
@@ -217,7 +217,7 @@ def test_contamination_and_anchors_cannot_be_combined(small_fixture):
 
 def test_contamination_of_zero_shot_windows_draws_nothing(small_fixture):
     cfg = copy.deepcopy(small_fixture.config)
-    cfg.set_prefix(0)
+    cfg.prefix = 0
     fx = small_fixture
     clean = rollout(fx.backbone, fx.dataset, cfg, None)
     assert rollout(fx.backbone, fx.dataset, cfg, None, contamination_ratio=0.5).rows == clean.rows
@@ -226,19 +226,19 @@ def test_contamination_of_zero_shot_windows_draws_nothing(small_fixture):
 def test_fixed_prefix_mode(small_fixture):
     fx = small_fixture
     cfg = copy.deepcopy(fx.config)
-    cfg.prefix_mode = "fixed"
-    cfg.prefix_length = 5
+    cfg.prefix = 5
     report = rollout(fx.backbone, fx.dataset, cfg, None)
     assert all(row["prefix_length"] == 5 for row in report.rows)
 
 
 def test_fixed_prefix_accepts_zero_and_rejects_none_or_negative():
-    RolloutConfig(prefix_mode="fixed", prefix_length=0).validate()
-    for length in (None, -1):
-        with pytest.raises(ConfigError, match="prefix_length >= 0"):
-            RolloutConfig(prefix_mode="fixed", prefix_length=length).validate()
-    with pytest.raises(ConfigError, match="prefix_length >= 0"):
-        RolloutConfig(prefix_length=-1).validate()  # in fft mode too
+    RolloutConfig(prefix=0).validate()
+    for prefix in (None, -1, "-1", "x", "FFT", 2.0, True):
+        with pytest.raises(ConfigError, match="prefix must be 'fft' or an integer >= 0"):
+            RolloutConfig(prefix=prefix).validate()
+    cfg = RolloutConfig(prefix=" 5 ")
+    cfg.validate()
+    assert cfg.prefix == 5  # validate stores the parsed setting
 
 
 @pytest.mark.parametrize("cap", [0, -1])
@@ -264,7 +264,10 @@ def test_none_resets_a_nullable_key():
     cfg = RolloutConfig(stride=4, max_windows=3)
     apply_overrides(cfg, {"stride": "none", "max_windows": ""})
     assert cfg.stride is None and cfg.max_windows is None
-    assert apply_overrides(RolloutConfig(), {"prefix_length": "5"}).prefix_length == 5
+    assert apply_overrides(RolloutConfig(), {"prefix": "5"}).prefix == 5
+    assert apply_overrides(RolloutConfig(prefix=5), {"prefix": "fft"}).prefix == "fft"
+    with pytest.raises(ConfigError, match="prefix must be"):
+        apply_overrides(RolloutConfig(), {"prefix": "none"})
 
 
 def test_training_set_shapes(small_fixture):
@@ -526,3 +529,9 @@ def test_readme_solver_table_lists_every_solver_key_with_its_default():
     assert [key for key, _ in rows] == [f.name for f in fields]
     for (key, default), f in zip(rows, fields):
         assert type(f.default)(default) == f.default, key
+
+
+def test_readme_none_sentence_names_every_nullable_key():
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    sentence = readme.split("`none` (or an empty value) resets only", 1)[1].split(".", 1)[0]
+    assert re.findall(r"`(\w+)`", sentence) == list(_NULLABLE)
