@@ -34,6 +34,7 @@ from .protocols import (
     run_sparse_anchor,
     run_sparse_boundary,
     run_sweep,
+    sweep_config,
 )
 from .rollout import (
     ContractViolation,
@@ -328,6 +329,12 @@ def cmd_sweep(args) -> int:
     convert = parse_prefix if args.parameter == "prefix" else float
     grid = _parse_list(args.grid, convert, "grid") if args.grid else SWEEP_GRIDS[args.parameter]
     names = _file_names(grid, "grid", args.grid)
+    cfg = _build_config(args)
+    for value in grid:  # each point's range, before any data is read
+        try:
+            sweep_config(cfg, args.parameter, value).validate()
+        except ConfigError as exc:
+            raise ConfigError(f"--grid {args.grid!r}: {exc}") from None
     cfg, ds, backbone, decoder_params = _prepare(args)
     reports = run_sweep(backbone, ds, cfg, decoder_params, args.parameter, grid)
     out = _out_dir(args, "sweep")

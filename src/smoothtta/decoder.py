@@ -17,7 +17,11 @@ batches, and the gradient gate's `_GATE_SAMPLES` and `_GATE_TOLERANCE`. Only
 the seed is an argument.
 Inference (`decode_batch`) skips the zero padded-error and mask columns past
 the last observed step, and multiplies the mask and context blocks once per
-window, not once per channel.
+window, not once per channel. It also skips the memory-template and context
+blocks whose W1 columns are all zero, as training leaves them when no training
+row saw a filled memory; `DecoderParams` decides that once, when it is frozen
+(`reads_template`, `reads_context`), and `rollout` folds no memory for a
+decoder that reads neither.
 """
 
 from __future__ import annotations
@@ -70,7 +74,11 @@ class GradientCheckError(RuntimeError):
 
 @dataclass(frozen=True)
 class DecoderParams:
-    """Dense decoder parameters, immutable once built; `frozen_digest` is their digest then."""
+    """Dense decoder parameters, immutable once built; `frozen_digest` is their digest then.
+
+    `reads_template` and `reads_context` say whether W1 holds a nonzero weight
+    in the memory-template and context columns, also decided when frozen.
+    """
 
     horizon: int
     context_size: int
@@ -82,6 +90,8 @@ class DecoderParams:
     b2: np.ndarray
     seed: int = 0
     frozen_digest: str = field(init=False, repr=False, compare=False)
+    reads_template: bool = field(init=False, repr=False, compare=False)
+    reads_context: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         F = self.input_width
@@ -100,6 +110,14 @@ class DecoderParams:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "frozen_digest", self.digest())
+        blocks = feature_blocks(self.horizon, self.context_size)
+        object.__setattr__(self, "reads_template", bool(self.W1[:, blocks["memory"]].any()))
+        object.__setattr__(self, "reads_context", bool(self.W1[:, blocks["context"]].any()))
+
+    @property
+    def reads_memory(self) -> bool:
+        """Whether the output depends on the memory: its template or its context."""
+        return self.reads_template or self.reads_context
 
     @property
     def input_width(self) -> int:
@@ -122,9 +140,12 @@ class DecoderParams:
         }
 
     def macs_per_window(self, span: int, channels: int) -> int:
-        """Multiply-adds of `decode_batch` for one window whose observed span is `span`."""
-        per_channel = self.hidden * (3 * self.horizon + span) + self.W2.size
-        return channels * per_channel + self.hidden * (span + 2 * self.context_size)
+        """Multiply-adds of `decode_batch` for one window whose observed span is `span`.
+
+        A memory-template or context block that `decode_batch` skips counts none."""
+        H, K = self.horizon, self.context_size
+        per_channel = self.hidden * ((2 + self.reads_template) * H + span) + self.W2.size
+        return channels * per_channel + self.hidden * (span + 2 * K * self.reads_context)
 
     def digest(self) -> str:
         import hashlib
@@ -167,10 +188,12 @@ def build_features(
     mask: np.ndarray,
     memory_template: np.ndarray,
     context: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-channel feature rows, shape (d, 5H + 2K). Layout is versioned.
 
-    Leading (window) axes on every input carry through to the output.
+    Leading (window) axes on every input carry through to the output. With
+    `out`, an array of the output's shape, the rows are written into it.
     """
     fields = [forecast, local_field, padded_error, memory_template]
     for p in fields:
@@ -180,7 +203,7 @@ def build_features(
     f, loc, err, mem = (np.swapaxes(p, -1, -2) for p in fields)
     mask_block = np.broadcast_to(mask[..., None, :], mask.shape[:-1] + (d, mask.shape[-1]))
     z_block = np.broadcast_to(context[..., None, :], context.shape[:-1] + (d, context.shape[-1]))
-    return np.concatenate([f, loc, err, mask_block, mem, z_block], axis=-1)
+    return np.concatenate([f, loc, err, mask_block, mem, z_block], axis=-1, out=out)
 
 
 def feature_blocks(horizon: int, context_size: int) -> dict[str, slice]:
@@ -221,7 +244,10 @@ def decode_batch(
     one past the last step where any mask or padded-error entry is nonzero,
     the forecast, local, template and m-cut padded-error blocks form one row
     per (window, channel), multiplied in one pass; the m-cut mask block, the
-    context and b1 give one term per window, added to its d channels.
+    context and b1 give one term per window, added to its d channels. The
+    template and context blocks are left out when their W1 columns are all
+    zero (`params.reads_template`, `params.reads_context`); they are still
+    checked for non-finite values.
     """
     n, H, d = forecasts.shape
     if H != params.horizon:
@@ -233,16 +259,23 @@ def decode_batch(
             raise ValueError(f"{name} has shape {b.shape}, expected {shape}")
     observed = np.flatnonzero(masks.any(axis=0) | padded_errors.any(axis=(0, 2)))
     m = int(observed[-1]) + 1 if observed.size else 0
-    rows = np.concatenate([forecasts, local_fields, padded_errors[:, :m], memory_templates], axis=1)
-    rows = rows.transpose(0, 2, 1).reshape(n * d, -1)
+    read = [forecasts, local_fields, padded_errors[:, :m]]
+    read += [memory_templates] if params.reads_template else []
+    rows = np.concatenate(read, axis=1).transpose(0, 2, 1).reshape(n * d, -1)
     # a non-finite entry is nonzero, so it lies inside the span and in `rows`
-    if not (np.isfinite(rows).all() and np.isfinite(masks).all() and np.isfinite(contexts).all()):
+    finite = np.isfinite(rows).all() and np.isfinite(masks).all() and np.isfinite(contexts).all()
+    if not (finite and (params.reads_template or np.isfinite(memory_templates).all())):
         bad = [name for name, b in zip(_INPUTS, blocks) if not np.isfinite(b).all()]
         raise ValueError(f"decoder inputs contain non-finite values in: {bad}")
     w = params.w1_views(m)
     k = 2 * H + m
-    z1 = rows[:, :k] @ w["forecast|local|padded_error"].T + rows[:, k:] @ w["memory"].T
-    per_window = masks[:, :m] @ w["mask"].T + contexts @ w["context"].T + params.b1
+    z1 = rows[:, :k] @ w["forecast|local|padded_error"].T
+    if params.reads_template:
+        z1 += rows[:, k:] @ w["memory"].T
+    per_window = masks[:, :m] @ w["mask"].T
+    if params.reads_context:
+        per_window += contexts @ w["context"].T
+    per_window += params.b1
     t = np.tanh(z1.reshape(n, d, -1) + per_window[:, None])
     out = params.output_scale * (t.reshape(n * d, -1) @ params.W2.T + params.b2)
     return out.reshape(n, d, H).transpose(0, 2, 1)

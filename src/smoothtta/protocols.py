@@ -166,6 +166,16 @@ SWEEP_GRIDS = {
 }
 
 
+def sweep_config(config: RolloutConfig, parameter: str, value) -> RolloutConfig:
+    """A copy of `config` with the sweep `parameter` set to the grid point `value`."""
+    cfg = copy.deepcopy(config)
+    if parameter == "prefix":
+        cfg.prefix = value
+    else:
+        setattr(cfg.solver, parameter, float(value))
+    return cfg
+
+
 def run_sweep(
     backbone,
     dataset: Dataset,
@@ -183,15 +193,9 @@ def run_sweep(
     points = grid if grid is not None else SWEEP_GRIDS[parameter]
     if len(set(points)) < len(points):
         raise ValueError(f"sweep grid repeats a point: {tuple(points)}")
-    reports = {}
-    for value in points:
-        cfg = copy.deepcopy(config)
-        if parameter == "prefix":
-            cfg.prefix = value
-        else:
-            setattr(cfg.solver, parameter, float(value))
-        reports[value] = rollout(backbone, dataset, cfg, decoder_params)
-    return reports
+    return {value: rollout(backbone, dataset, sweep_config(config, parameter, value),
+                           decoder_params)
+            for value in points}
 
 
 @dataclass

@@ -18,16 +18,23 @@ two steps:
   `_execute` prepares each chunk: one backbone call, one FFT period
   estimate, the boundary (contamination and anchors are transforms on the
   batched arrays, seeded per window index), one local solve per prefix
-  length and a streaming EMA fold of the memory. The consumer corrects it:
-  one decoder pass over all (window, channel) rows and one clipped fusion.
+  length and a streaming EMA fold of the memory. It keeps a window's
+  residual for the fold only while a later window will fold it. The
+  consumer corrects the chunk: one decoder pass over all (window, channel)
+  rows and one clipped fusion. `rollout` folds the memory only when the
+  decoder in use reads it (`DecoderParams.reads_memory`): with no decoder,
+  with `global_mix` 0, or with a decoder whose memory-template and context
+  W1 columns are all zero, the worker folds nothing and the windows read a
+  cold memory, which such a decoder ignores. The manifest records the choice
+  as `memory_folded`; the plan's memory versions are the same either way.
   `rollout` steps `_execute` on a one-worker thread pool, one chunk ahead:
   it submits the step to chunk k+1, corrects chunk k, then takes the step's
   result, so at most one step is in flight. BLAS, FFT and large ufunc loops
   release the GIL, so the two halves overlap on two cores. Each chunk's
   arithmetic is the same on either thread, so outputs are unchanged.
-  `build_decoder_training_set` iterates `_execute` inline: its per-chunk
-  work is a cheap copy into the training arrays, and a chunk prepared ahead
-  would only raise its peak memory.
+  `build_decoder_training_set` iterates `_execute` inline: it writes each
+  chunk's feature rows straight into the training matrix, and a chunk
+  prepared ahead would only raise its peak memory.
 
 The per-window API (`correct_window` and the functions it calls) runs the
 same kernels with a batch of one. Both read constants built once from the
@@ -282,7 +289,8 @@ def _execute(plan: _Plan, backbone, dataset: Dataset, config: RolloutConfig,
     """Yield a `_Chunk` for every execute chunk that has unflagged windows.
 
     `use_local=False` zeroes the local branch and `use_memory=False` reads a
-    cold memory; the plan's versions still count the real memory.
+    cold memory; the plan's versions still count the real memory. Residuals
+    are kept for the fold only when some later window folds them.
     `protocol` goes to `_boundaries`.
     """
     s = config.solver
@@ -294,6 +302,7 @@ def _execute(plan: _Plan, backbone, dataset: Dataset, config: RolloutConfig,
     n_summaries = 0
     template, version = np.zeros((H, d)), 0  # the fold state
     pending: deque = deque()  # residuals not folded yet, in fold order
+    gap = H if plan.schedule == "safe" else 1  # a window at t may fold j iff t_j + gap <= t
 
     for lo in range(0, len(plan.starts), size):
         idx = np.arange(lo, min(lo + size, len(plan.starts)))
@@ -319,7 +328,8 @@ def _execute(plan: _Plan, backbone, dataset: Dataset, config: RolloutConfig,
         if use_memory:
             summaries[n_summaries : n_summaries + len(idx)] = residual_summaries(residuals)
             n_summaries += len(idx)
-            pending.extend(residuals)
+            # only windows that the last window may fold; starts ascend, so a prefix
+            pending.extend(residuals[: np.searchsorted(t + gap, plan.starts[-1], side="right")])
             top = int(versions[-1])
             folds = [pending.popleft() for _ in range(top - version)]
             snapshots = fold_templates(template, folds, s.memory_decay)
@@ -408,6 +418,7 @@ def rollout(
     H = config.horizon
     schedule = s.schedule()
     use_decoder = schedule.global_mix > 0 and decoder_params is not None
+    fold = use_decoder and decoder_params.reads_memory and not s.no_memory
     backbone_digest = backbone.param_digest()
     sigma = contamination_sigma if contamination_sigma is not None else dataset.train_std()
     slices = {"": headline_slice if headline_slice is not None else slice(0, H)}
@@ -415,21 +426,28 @@ def rollout(
 
     plan = _Plan(_window_starts(dataset, config), H, config.memory_schedule)
     chunks = _execute(plan, backbone, dataset, config, use_local=not s.global_only,
-                      use_memory=not s.no_memory, contamination_ratio=contamination_ratio,
+                      use_memory=fold, contamination_ratio=contamination_ratio,
                       contamination_sigma=sigma, anchors=anchors)
     rows: list[dict] = []
+
+    def correction(c: _Chunk, sel) -> np.ndarray:
+        global_field = (
+            decode_batch(decoder_params, c.forecasts[sel], c.local[sel], c.padded[sel],
+                         c.masks[sel], c.templates[sel], c.contexts[sel])
+            if use_decoder else np.zeros_like(c.local[sel])
+        )
+        return fuse(c.local[sel], global_field, schedule)
+
     t0 = time.perf_counter()
     with _OneAhead(chunks) as ahead:  # the worker owns `plan` until the join
         for c in ahead:
-            delta = np.zeros_like(c.forecasts)
-            if c.lengths.any():  # an empty boundary keeps the zero-shot forecast
-                sel = slice(None) if c.lengths.all() else c.lengths > 0
-                global_field = (
-                    decode_batch(decoder_params, c.forecasts[sel], c.local[sel], c.padded[sel],
-                                 c.masks[sel], c.templates[sel], c.contexts[sel])
-                    if use_decoder else np.zeros_like(c.local[sel])
-                )
-                delta[sel] = fuse(c.local[sel], global_field, schedule)
+            if c.lengths.all():
+                delta = correction(c, slice(None))
+            else:  # an empty boundary keeps the zero-shot forecast
+                delta = np.zeros_like(c.forecasts)
+                if c.lengths.any():
+                    sel = c.lengths > 0
+                    delta[sel] = correction(c, sel)
             corrected = c.forecasts + delta
             columns = {
                 "window": c.windows.tolist(),
@@ -450,7 +468,7 @@ def rollout(
     report = EvalReport(
         dataset=dataset.name,
         backbone=getattr(backbone, "kind", type(backbone).__name__),
-        manifest=config.manifest(),
+        manifest={**config.manifest(), "memory_folded": fold},
         rows=rows,
         n_flagged=plan.n_flagged,
         timing={
@@ -478,7 +496,9 @@ def build_decoder_training_set(
     memory schedule) through the engine over fully observed windows,
     emitting one feature row per (window, channel) with the full residual as
     regression target. Ablation switches do not apply here. Returns
-    (features, targets, local_fields, gate). Logs the build time and, per
+    (features, targets, local_fields, gate); each chunk's rows are written
+    straight into `features`, and `local_fields` is a view of its local block,
+    not a copy. Logs the build time and, per
     FEATURE_LAYOUT block, the columns zero in every row (their W1 columns
     are zero in the trained decoder) on the `smoothtta.decoder` logger.
     """
@@ -488,16 +508,14 @@ def build_decoder_training_set(
     gate = global_gate(config.solver.schedule(ablate=False), H)
     plan = _Plan(_window_starts(dataset, config, part), H, "safe")
     capacity = len(plan.starts) * d  # rows when no window is flagged
-    feats = np.empty((capacity, input_width(H, config.solver.context_size)))
-    targets, locals_ = np.empty((capacity, H)), np.empty((capacity, H))
+    width = input_width(H, config.solver.context_size)
+    feats, targets = np.empty((capacity, width)), np.empty((capacity, H))
     n = 0
     for c in _execute(plan, backbone, dataset, config):
         k = len(c.windows) * d
-        feats[n : n + k] = build_features(
-            c.forecasts, c.local, c.padded, c.masks, c.templates, c.contexts
-        ).reshape(k, -1)
+        build_features(c.forecasts, c.local, c.padded, c.masks, c.templates, c.contexts,
+                       out=feats[n : n + k].reshape(len(c.windows), d, width))
         targets[n : n + k] = c.residuals.transpose(0, 2, 1).reshape(k, H)
-        locals_[n : n + k] = c.local.transpose(0, 2, 1).reshape(k, H)
         n += k
     if n == 0:
         raise DataError(f"no usable windows in the {part} split")
@@ -510,7 +528,7 @@ def build_decoder_training_set(
         ", ".join(f"{name} {int(zero[cols].sum())}/{cols.stop - cols.start}"
                   for name, cols in blocks.items()),
     )
-    return feats, targets[:n], locals_[:n], gate
+    return feats, targets[:n], feats[:, blocks["local"]], gate
 
 
 def decoder_shape(config: RolloutConfig) -> dict:

@@ -610,6 +610,27 @@ def test_sweep_rejects_a_bad_grid_before_fitting(workdir, monkeypatch, capsys, p
     _expect_configuration_error(argv, "grid", capsys)
 
 
+@pytest.mark.parametrize("parameter, grid, message", [
+    ("memory_decay", "0.5,2", "memory_decay must lie in [0, 1]"),
+    ("smoothness_alpha", "0.1,-1", "smoothness_alpha must be finite"),
+    ("smoothness_alpha", "nan,0.1", "smoothness_alpha must be finite"),
+])
+def test_sweep_range_checks_every_grid_point_before_any_fit(
+    workdir, monkeypatch, capsys, parameter, grid, message
+):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("fitted or trained before the grid was range-checked")
+
+    monkeypatch.setattr(cli.bb, "fit_linear_backbone", must_not_run)
+    monkeypatch.setattr(cli, "train_decoder_for", must_not_run)
+    argv = ["sweep", "--data", str(workdir / "toy.csv"), *COMMON, "--parameter", parameter,
+            "--grid", grid, "--out-dir", str(workdir / "run_grid_range")]
+    assert cli.main(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"configuration error: --grid '{grid}': ") and message in line
+    assert not (workdir / "run_grid_range").exists()
+
+
 def test_rollout_drops_a_row_with_an_infinite_cell(workdir):
     lines = (workdir / "toy.csv").read_text().splitlines()
     lines[850] = "inf," + lines[850].split(",", 1)[1]  # a row of the test split

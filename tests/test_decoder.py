@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -140,6 +142,67 @@ def test_structured_decode_matches_dense_forward(
     got = dec.decode_batch(p, *inputs)
     assert got.shape == (n, horizon, d)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _without(params, dead, signed_zero=False):
+    """`params` with the W1 columns of the blocks named in `dead` set to zero."""
+    W1 = np.array(params.W1)
+    blocks = dec.feature_blocks(params.horizon, params.context_size)
+    for name in dead:
+        W1[:, blocks[name]] = -0.0 if signed_zero else 0.0
+    return replace(params, W1=W1)
+
+
+_SKIPPED = {"memory": "memory_template", "context": "context"}  # W1 block -> decoder input
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    horizon=st.integers(1, 30),
+    context=st.integers(1, 4),
+    hidden=st.integers(1, 20),
+    windows=st.integers(1, 4),
+    channels=st.integers(1, 3),
+    dead=st.sampled_from([("memory",), ("context",), ("memory", "context")]),
+    signed_zero=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_decode_batch_skips_zero_memory_and_context_columns(
+    horizon, context, hidden, windows, channels, dead, signed_zero, seed
+):
+    rng = np.random.default_rng(seed)
+    p = _without(init_params(horizon=horizon, context_size=context, hidden=hidden, seed=seed),
+                 dead, signed_zero)
+    assert (p.reads_template, p.reads_context) == ("memory" not in dead, "context" not in dead)
+    n, d = windows, channels
+    masks = (np.arange(horizon) < rng.integers(0, horizon + 1, size=(n, 1))).astype(float)
+    padded = np.where(masks[..., None] > 0, rng.standard_normal((n, horizon, d)), 0.0)
+    forecast, local, template = (rng.standard_normal((n, horizon, d)) for _ in range(3))
+    inputs = [forecast, local, padded, masks, template, rng.standard_normal((n, 2 * context))]
+    expected = _dense_decode(p, *inputs)
+    got = dec.decode_batch(p, *inputs)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+    # the skipped inputs may be anything finite: zero gives the same bytes
+    skipped = [dec._INPUTS.index(_SKIPPED[name]) for name in dead]
+    zeroed = [np.zeros_like(x) if i in skipped else x for i, x in enumerate(inputs)]
+    assert dec.decode_batch(p, *zeroed).tobytes() == got.tobytes()
+    # and are still checked: a NaN in any of them is named
+    for i in skipped:
+        inputs[i].flat[-1] = np.nan
+    names = [dec._INPUTS[i] for i in sorted(skipped)]
+    with pytest.raises(ValueError, match=re.escape(f"non-finite values in: {names}")):
+        dec.decode_batch(p, *inputs)
+
+
+def test_macs_per_window_leaves_out_the_skipped_blocks():
+    p = _params()
+    dense = p.macs_per_window(2, channels=3)
+    no_memory = _without(p, ["memory"]).macs_per_window(2, channels=3)
+    no_context = _without(p, ["context"]).macs_per_window(2, channels=3)
+    assert dense - no_memory == 3 * HID * H
+    assert dense - no_context == HID * 2 * K
+    neither = _without(p, ["memory", "context"]).macs_per_window(2, channels=3)
+    assert neither == no_memory + no_context - dense
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])

@@ -1,5 +1,6 @@
 """The batched correction engine against a golden capture and a sequential oracle."""
 
+import dataclasses
 import importlib
 from collections import deque
 from unittest import mock
@@ -13,7 +14,7 @@ from smoothtta.backbones import fit_linear_backbone
 from smoothtta.boundary import build_boundary, estimate_dominant_period, select_prefix_length
 from smoothtta.config import RolloutConfig, SolverConfig
 from smoothtta.data import Dataset, split_dataset
-from smoothtta.decoder import init_params
+from smoothtta.decoder import feature_blocks, init_params
 from smoothtta.fusion import FusionSchedule, apply_correction, fuse
 from smoothtta.memory import cold_start, update_memory
 from smoothtta.protocols import ABLATION_VARIANTS, variant_config
@@ -125,9 +126,11 @@ def _stream(seed, d, length=900):
     flagged=st.sets(st.integers(0, 29)),
     decay=st.floats(0.0, 1.0),
     variant=st.sampled_from(ABLATION_VARIANTS),
+    # W1 blocks held at zero: with both, the engine folds no memory; the reference still does
+    dead=st.sampled_from([(), ("memory",), ("context",), ("memory", "context")]),
 )
 def test_batched_rollout_equals_sequential_reference(
-    seed, H, L, d, stride, prefix, windows, chunk, flagged, decay, variant
+    seed, H, L, d, stride, prefix, windows, chunk, flagged, decay, variant, dead
 ):
     ds = _stream(seed, d)
     cfg = RolloutConfig(lookback=L, horizon=H, stride=stride, seed=seed, standardize=False,
@@ -141,6 +144,10 @@ def test_batched_rollout_equals_sequential_reference(
     backbone = FlagStarts(inner, [t for k, t in enumerate(starts) if k in flagged])
     s = cfg.solver
     params = init_params(H, s.context_size, hidden=8, output_scale=s.global_scale, seed=seed)
+    W1, blocks = np.array(params.W1), feature_blocks(H, s.context_size)
+    for name in dead:
+        W1[:, blocks[name]] = 0.0
+    params = dataclasses.replace(params, W1=W1)
 
     # a tiny chunk budget makes the window count straddle several chunks
     row_bytes = 8 * d * (5 * H + 2 * s.context_size)
@@ -149,6 +156,8 @@ def test_batched_rollout_equals_sequential_reference(
     expected = reference_rollout(backbone, ds, cfg, params)
 
     assert report.n_flagged + report.n_windows == min(windows, len(starts))
+    folds = variant not in ("local_only", "no_memory") and len(dead) < 2
+    assert report.manifest["memory_folded"] == folds
     assert len(report.rows) == len(expected)
     for got, want in zip(report.rows, expected):
         for key in ("window", "start", "prefix_length", "memory_version"):

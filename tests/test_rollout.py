@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from smoothtta.backbones import BiasedOracleForecaster
 from smoothtta.config import (_NULLABLE, ABLATION_SWITCHES, ConfigError, RolloutConfig,
                               SolverConfig, apply_overrides)
+from smoothtta.data import Dataset, Split
 from smoothtta.decoder import (FEATURE_LAYOUT, DecoderParams, decode_batch, feature_blocks,
                                init_params)
 from smoothtta.fusion import fuse
@@ -29,7 +30,7 @@ from smoothtta.rollout import (
     write_manifest,
     write_metrics_csv,
 )
-from smoothtta.synth import biased_oracle_fixture
+from smoothtta.synth import biased_oracle_fixture, seasonal_stream
 
 # the package re-exports the function `rollout` under the submodule's name
 rollout_module = importlib.import_module("smoothtta.rollout")
@@ -193,6 +194,36 @@ def test_rollout_hashes_the_decoder_once(small_fixture, monkeypatch):
     monkeypatch.setattr(DecoderParams, "digest", lambda self: calls.append(self) or digest(self))
     rollout(fx.backbone, fx.dataset, fx.config, params)
     assert len(calls) == 1 and calls[0] is params
+
+
+@pytest.mark.parametrize("case", ["reads", "no_memory_columns", "local_only", "no_decoder"])
+def test_rollout_folds_the_memory_only_for_a_decoder_that_reads_it(small_fixture, monkeypatch,
+                                                                   case):
+    fx = small_fixture
+    params = _untrained_decoder(fx)
+    reading = rollout(fx.backbone, fx.dataset, fx.config, params)
+    cfg = copy.deepcopy(fx.config)
+    if case == "no_memory_columns":
+        W1 = np.array(params.W1)
+        W1[:, feature_blocks(params.horizon, params.context_size)["memory"].start :] = 0.0
+        params = dataclasses.replace(params, W1=W1)
+    elif case == "local_only":
+        cfg.solver.local_only = True
+    elif case == "no_decoder":
+        params = None
+    calls = []
+    for name in ("fold_templates", "context_rows"):
+        spied = getattr(rollout_module, name)
+        monkeypatch.setattr(rollout_module, name,
+                            lambda *a, spied=spied, name=name: calls.append(name) or spied(*a))
+    report = rollout(fx.backbone, fx.dataset, cfg, params)
+    folds = case == "reads"
+    assert bool(calls) == folds and report.manifest["memory_folded"] == folds
+    if folds:
+        assert {"fold_templates", "context_rows"} == set(calls)
+    # every window still reads the memory version the folding rollout gives it
+    versions = [r["memory_version"] for r in report.rows]
+    assert versions == [r["memory_version"] for r in reading.rows] and max(versions) > 0
 
 
 def test_zero_prefix_override_reduces_to_zero_shot(small_fixture):
@@ -519,6 +550,42 @@ def test_fit_decoder_frees_the_initial_weights_before_training():
         tracemalloc.stop()
     assert {k: getattr(params, k) for k in shape} == shape
     assert peak <= bound, f"peak {peak / w1:.2f} W1, bound {bound / w1:.2f} W1"
+
+
+def test_training_set_build_holds_only_its_outputs_and_one_chunk():
+    # eval-h720's dead columns at H=360, as in test_decoder's peak-memory test:
+    # no horizon elapses inside the validation split, so the memory and
+    # context columns are zero, and the fixed 8-step prefix zeroes the padded
+    # error and mask past step 8. 24 windows of 2 channels fit one execute
+    # chunk. Above the features and targets it returns, the build may hold one
+    # chunk: six (n, H, d) fields (forecasts, targets, residuals, padded
+    # errors, local fields, templates), half a field of masks, and up to five
+    # fields of the local solve's propagated, combined and scratch fields. A
+    # second copy of the local fields, or a chunk's feature rows built apart
+    # from the returned matrix (five fields), breaks the bound.
+    L, H, d, stride, windows = 24, 360, 2, 4, 24
+    val = L + H + (windows - 1) * stride
+    clean, noisy = seasonal_stream(val + 200, d, period=12, seed=0)
+    ds = Dataset("peak", noisy, ["a", "b"], split=Split(100, 100 + val))
+    backbone = BiasedOracleForecaster(clean, L, H, 0.3)
+    config = RolloutConfig(lookback=L, horizon=H, stride=stride, prefix=8, standardize=False,
+                           solver=SolverConfig(context_size=4))
+    build_decoder_training_set(backbone, ds, config)  # the cached operators, outside the trace
+
+    tracemalloc.start()
+    try:
+        feats, targets, locals_, _ = build_decoder_training_set(backbone, ds, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    field = windows * H * d * 8
+    bound = feats.nbytes + targets.nbytes + (6 + 0.5 + 5) * field
+    assert peak <= bound, f"peak {peak / field:.2f} fields, bound {bound / field:.2f} fields"
+    blocks = feature_blocks(H, 4)
+    assert feats.shape == (windows * d, 5 * H + 8)
+    assert not feats[:, blocks["memory"].start :].any()
+    assert not feats[:, blocks["mask"].start + 8 : blocks["mask"].stop].any()
+    assert locals_.base is feats.base and np.array_equal(locals_, feats[:, blocks["local"]])
 
 
 def test_readme_solver_table_lists_every_solver_key_with_its_default():
