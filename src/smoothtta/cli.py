@@ -374,6 +374,8 @@ def cmd_bench(args) -> int:
             "variance": r.ms_per_batch_var,
             "decoder_parameters": r.decoder_parameters,
             "decoder_macs_per_window": r.decoder_macs_per_window,
+            "worker_busy_ms": r.worker_busy_ms,
+            "caller_busy_ms": r.caller_busy_ms,
         }
         for r in results
     ]

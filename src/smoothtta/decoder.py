@@ -228,6 +228,12 @@ def _forward(params: DecoderParams, features: np.ndarray):
     return out, (features, t)
 
 
+def decoder_span(masks: np.ndarray, padded_errors: np.ndarray) -> int:
+    """One past the last step where any (n, H) mask or (n, H, d) padded-error entry is nonzero."""
+    observed = np.flatnonzero(masks.any(axis=0) | padded_errors.any(axis=(0, 2)))
+    return int(observed[-1]) + 1 if observed.size else 0
+
+
 def decode_batch(
     params: DecoderParams,
     forecasts: np.ndarray,
@@ -236,12 +242,13 @@ def decode_batch(
     masks: np.ndarray,
     memory_templates: np.ndarray,
     contexts: np.ndarray,
+    min_span: int = 0,
 ) -> np.ndarray:
     """Long-range response fields of n windows in one forward pass, (n, H, d).
 
     The inputs are those of `decode` with a leading window axis. Equals
     `_forward` over the `build_features` rows without building them. With m
-    one past the last step where any mask or padded-error entry is nonzero,
+    the larger of `min_span` and `decoder_span` (the columns past it are 0),
     the forecast, local, template and m-cut padded-error blocks form one row
     per (window, channel), multiplied in one pass; the m-cut mask block, the
     context and b1 give one term per window, added to its d channels. The
@@ -257,8 +264,7 @@ def decode_batch(
     for name, b, shape in zip(_INPUTS, blocks, shapes):
         if b.shape != shape:
             raise ValueError(f"{name} has shape {b.shape}, expected {shape}")
-    observed = np.flatnonzero(masks.any(axis=0) | padded_errors.any(axis=(0, 2)))
-    m = int(observed[-1]) + 1 if observed.size else 0
+    m = min(H, max(min_span, decoder_span(masks, padded_errors)))
     read = [forecasts, local_fields, padded_errors[:, :m]]
     read += [memory_templates] if params.reads_template else []
     rows = np.concatenate(read, axis=1).transpose(0, 2, 1).reshape(n * d, -1)

@@ -211,6 +211,8 @@ class BenchResult:
     windows_per_second: float
     decoder_parameters: int
     decoder_macs_per_window: int
+    worker_busy_ms: float
+    caller_busy_ms: float
 
 
 def bench_latency(
@@ -227,10 +229,10 @@ def bench_latency(
     The windows come from a biased-oracle fixture with `channels` channels,
     whose backbone only reads a slice, and get a fixed `prefix`-step boundary
     and an untrained decoder. One untimed warm-up rollout builds the cached
-    operators. Reports the median ms per rollout over `repetitions` timed
-    ones plus the decoder size, which grows with the horizon because the
-    decoder maps horizon-length fields, and its multiply-adds per window,
-    which also grow with the `prefix` the decoder reads.
+    operators. Reports medians over `repetitions` timed ones (ms per rollout,
+    its worker's and caller's busy ms), the decoder size, which grows with the
+    horizon because the decoder maps horizon-length fields, and its
+    multiply-adds per window, which also grow with the `prefix` it reads.
     """
     base = config or RolloutConfig()
     results = []
@@ -242,11 +244,13 @@ def bench_latency(
         cfg.prefix = prefix
         params = init_params(**decoder_shape(cfg), seed=seed)
         rollout(fx.backbone, fx.dataset, cfg, params)  # warm-up
-        times = []
+        times, busy = [], []
         for _ in range(repetitions):
             t0 = time.perf_counter()
-            rollout(fx.backbone, fx.dataset, cfg, params)
+            timing = rollout(fx.backbone, fx.dataset, cfg, params).timing
             times.append((time.perf_counter() - t0) * 1000.0)
+            busy.append([timing["worker_busy_seconds"], timing["caller_busy_seconds"]])
+        worker_ms, caller_ms = 1000.0 * np.median(busy, axis=0)
         med = float(np.median(times))
         results.append(
             BenchResult(
@@ -261,6 +265,7 @@ def bench_latency(
                 windows_per_second=1000.0 * batch / med if med > 0 else float("inf"),
                 decoder_parameters=params.count(),
                 decoder_macs_per_window=params.macs_per_window(min(prefix, H), channels),
+                worker_busy_ms=worker_ms, caller_busy_ms=caller_ms,
             )
         )
     return results

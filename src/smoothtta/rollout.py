@@ -14,24 +14,27 @@ two steps:
   the guard whenever windows overlap. Flags exist only once forecasts do, so
   the plan grows chunk by chunk; a window's entry depends on earlier windows
   only.
-- Execute. Windows run in chronological chunks under a fixed byte budget.
-  `_execute` prepares each chunk: one backbone call, one FFT period
-  estimate, the boundary (contamination and anchors are transforms on the
-  batched arrays, seeded per window index), one local solve per prefix
-  length and a streaming EMA fold of the memory. It keeps a window's
+- Execute. Windows run in chronological chunks under a fixed byte budget
+  that serves the worker and the training-set build. `_execute` prepares
+  each chunk: one backbone call, one FFT period estimate, the boundary
+  (contamination and anchors are transforms on the batched arrays, seeded
+  per window index), one local solve per prefix length and a streaming EMA
+  fold of the memory. It keeps a window's
   residual for the fold only while a later window will fold it. The
-  consumer corrects the chunk: one decoder pass over all (window, channel)
-  rows and one clipped fusion. `rollout` folds the memory only when the
-  decoder in use reads it (`DecoderParams.reads_memory`): with no decoder,
-  with `global_mix` 0, or with a decoder whose memory-template and context
-  W1 columns are all zero, the worker folds nothing and the windows read a
-  cold memory, which such a decoder ignores. The manifest records the choice
-  as `memory_folded`; the plan's memory versions are the same either way.
+  consumer corrects the chunk in views of at most `BLOCK_ROWS` (window,
+  channel) rows, each with one decoder pass and one clipped fusion, which
+  bounds the decoder's activations. `rollout` folds the memory only
+  when the decoder in use reads it (`DecoderParams.reads_memory`): with no
+  decoder, with `global_mix` 0, or with a decoder whose memory-template and
+  context W1 columns are all zero, the worker folds nothing and the windows
+  read a cold memory, which such a decoder ignores. The manifest records
+  the choice as `memory_folded`; the plan's memory versions are the same.
   `rollout` steps `_execute` on a one-worker thread pool, one chunk ahead:
   it submits the step to chunk k+1, corrects chunk k, then takes the step's
   result, so at most one step is in flight. BLAS, FFT and large ufunc loops
   release the GIL, so the two halves overlap on two cores. Each chunk's
-  arithmetic is the same on either thread, so outputs are unchanged.
+  arithmetic is the same on either thread, and every block multiplies the
+  chunk's span (`decode_batch`'s `min_span`), so outputs are unchanged.
   `build_decoder_training_set` iterates `_execute` inline: it writes each
   chunk's feature rows straight into the training matrix, and a chunk
   prepared ahead would only raise its peak memory.
@@ -49,7 +52,7 @@ import logging
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -59,8 +62,8 @@ from .boundary import (PrefixBoundary, contaminate_errors, derive_seeds, estimat
 from .chain import build_transfer_operator
 from .config import RolloutConfig
 from .data import DataError, Dataset
-from .decoder import (DecoderParams, build_features, decode, decode_batch, feature_blocks,
-                      init_params, input_width, train_decoder)
+from .decoder import (DecoderParams, build_features, decode, decode_batch, decoder_span,
+                      feature_blocks, init_params, input_width, train_decoder)
 from .fusion import fuse, global_gate
 from .local import solve_local
 from .memory import (
@@ -72,12 +75,11 @@ from .memory import (
     residual_summaries,
 )
 
-# Execute-chunk budget, sized by the decoder training set's feature rows of
-# d * (5H + 2K) floats per window (rollout's decoder pass builds no rows); a
-# chunk's other per-window arrays are of the same order. In `rollout` two
-# chunks are live at once: the one being corrected and the one the worker is
-# preparing. The inline training-set build holds one.
+# Execute-chunk budget, sized by the decoder training set's rows of d * (5H + 2K)
+# floats per window. It serves the worker, whose calls stream their weights once
+# per chunk, and the training-set build, which holds one chunk; `rollout` two.
 CHUNK_BYTES = 4 << 20
+BLOCK_ROWS = 256  # rows per block of rollout's decoder pass: its activations, ~2 MB at H=96
 
 decoder_log = logging.getLogger("smoothtta.decoder")
 
@@ -254,6 +256,9 @@ class _Chunk:
     templates: np.ndarray   # memory template
     contexts: np.ndarray    # (n, 2K) memory context
 
+    def __getitem__(self, b: slice) -> _Chunk:
+        return _Chunk(*(getattr(self, f.name)[b] for f in fields(self)))
+
 
 def _boundaries(X, forecasts, residuals, windows, config: RolloutConfig,
                 contamination_ratio=0.0, contamination_sigma=None, anchors=None):
@@ -317,6 +322,7 @@ def _execute(plan: _Plan, backbone, dataset: Dataset, config: RolloutConfig,
         targets = values[t[:, None] + np.arange(H)]
         residuals = targets - forecasts
         lengths, masks, padded = _boundaries(X, forecasts, residuals, idx, config, **protocol)
+        del X  # read only by the period estimate
 
         local = np.zeros_like(residuals)
         for a in np.unique(lengths[lengths > 0]).tolist() if use_local else ():
@@ -335,13 +341,16 @@ def _execute(plan: _Plan, backbone, dataset: Dataset, config: RolloutConfig,
             snapshots = fold_templates(template, folds, s.memory_decay)
             templates = snapshots[versions - version]
             contexts = context_rows(summaries[:n_summaries], versions, K)
-            template, version = snapshots[-1], top
+            template, version = snapshots[-1].copy(), top  # a view would keep `snapshots`
+            del folds, snapshots
         else:
             templates = np.zeros_like(residuals)
             contexts = np.zeros((len(idx), 2 * K))
 
         yield _Chunk(idx, t, versions, forecasts, targets, residuals, lengths, masks,
                      padded, local, templates, contexts)
+        del idx, t, forecasts, versions, targets, residuals, lengths, masks, padded, local
+        del templates, contexts  # nothing of this chunk stays bound while the next is prepared
 
 
 class _OneAhead(ThreadPoolExecutor):
@@ -410,6 +419,9 @@ def rollout(
     range and `extra_slices` adds named step-range metrics (near/far
     fields). All metrics are computed against clean targets. Anchors replace
     the prefix that contamination corrupts, so the two cannot be combined.
+    The worker prepares chunks sized by `CHUNK_BYTES`; the caller corrects
+    each in blocks of at most `BLOCK_ROWS` decoder rows, which bound its
+    activations. `timing` records both threads' busy seconds.
     """
     config.validate()
     if anchors is not None and contamination_ratio > 0:
@@ -430,34 +442,37 @@ def rollout(
                       contamination_sigma=sigma, anchors=anchors)
     rows: list[dict] = []
 
-    def correction(c: _Chunk, sel) -> np.ndarray:
+    def correction(c: _Chunk, span: int) -> np.ndarray:
         global_field = (
-            decode_batch(decoder_params, c.forecasts[sel], c.local[sel], c.padded[sel],
-                         c.masks[sel], c.templates[sel], c.contexts[sel])
-            if use_decoder else np.zeros_like(c.local[sel])
+            decode_batch(decoder_params, c.forecasts, c.local, c.padded, c.masks, c.templates,
+                         c.contexts, min_span=span)
+            if use_decoder else np.zeros_like(c.local)
         )
-        return fuse(c.local[sel], global_field, schedule)
+        return fuse(c.local, global_field, schedule)
 
-    t0 = time.perf_counter()
+    t0, busy = time.perf_counter(), 0.0
     with _OneAhead(chunks) as ahead:  # the worker owns `plan` until the join
-        for c in ahead:
-            if c.lengths.all():
-                delta = correction(c, slice(None))
-            else:  # an empty boundary keeps the zero-shot forecast
-                delta = np.zeros_like(c.forecasts)
-                if c.lengths.any():
-                    sel = c.lengths > 0
-                    delta[sel] = correction(c, sel)
-            corrected = c.forecasts + delta
-            columns = {
-                "window": c.windows.tolist(),
-                "start": c.starts.tolist(),
-                "prefix_length": c.lengths.tolist(),
-                "memory_version": c.versions.tolist(),
-            }
-            for prefix, sl in slices.items():
-                columns.update({prefix + k: v for k, v in _metrics(c, corrected, sl).items()})
-            rows.extend(dict(zip(columns, values)) for values in zip(*columns.values()))
+        for chunk in ahead:
+            started = time.perf_counter()
+            span = decoder_span(chunk.masks, chunk.padded)  # what a one-block pass reads
+            # even blocks, never one window of several: a one-row product takes
+            # numpy's matrix-vector path, whose sums differ in the last bits
+            n, size = len(chunk.windows), max(2, BLOCK_ROWS // dataset.channels)
+            parts = max(1, min(-(-n // size), n // 2))
+            for c in (chunk[n * j // parts : n * (j + 1) // parts] for j in range(parts)):
+                # all windows of a chunk have a boundary or none has (zero-shot forecasts stay)
+                delta = correction(c, span) if c.lengths.any() else np.zeros_like(c.forecasts)
+                corrected = c.forecasts + delta
+                columns = {
+                    "window": c.windows.tolist(),
+                    "start": c.starts.tolist(),
+                    "prefix_length": c.lengths.tolist(),
+                    "memory_version": c.versions.tolist(),
+                }
+                for prefix, sl in slices.items():
+                    columns.update({prefix + k: v for k, v in _metrics(c, corrected, sl).items()})
+                rows.extend(dict(zip(columns, values)) for values in zip(*columns.values()))
+            busy += time.perf_counter() - started
     elapsed = time.perf_counter() - t0
 
     if backbone.param_digest() != backbone_digest:
@@ -476,6 +491,7 @@ def rollout(
             "windows": len(rows),
             "worker_busy_seconds": ahead.busy,
             "caller_wait_seconds": ahead.waited,
+            "caller_busy_seconds": busy,
         },
     )
     report.extra = report.aggregate()
@@ -517,6 +533,7 @@ def build_decoder_training_set(
                        out=feats[n : n + k].reshape(len(c.windows), d, width))
         targets[n : n + k] = c.residuals.transpose(0, 2, 1).reshape(k, H)
         n += k
+        del c  # released before the engine prepares the next chunk
     if n == 0:
         raise DataError(f"no usable windows in the {part} split")
     feats = feats[:n]

@@ -376,6 +376,17 @@ def test_bench_command(workdir):
     assert rows[0]["decoder_parameters"] < rows[1]["decoder_parameters"]
 
 
+def test_bench_csv_records_the_worker_and_caller_busy_medians(tmp_path, capsys):
+    argv = ["bench", "--horizons", "8", "--batch", "4", "--channels", "2", "--prefix-len", "3",
+            "--reps", "3", "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    header, row = (tmp_path / "bench" / "bench.csv").read_text().splitlines()
+    values = {k: float(v) for k, v in zip(header.split(","), row.split(","))}
+    for key in ("worker_busy_ms", "caller_busy_ms"):
+        assert 0 < values[key] <= values["ms_per_batch"], key
+
+
 def test_dump_schedule_command(workdir):
     res = _run(
         ["dump-schedule", "--horizon", "96", "--out", "schedule.csv"],

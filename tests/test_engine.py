@@ -192,3 +192,43 @@ def test_fused_corrections_stay_within_the_clip(shape, scale, clip, seed):
     global_field = scale * rng.standard_normal(shape)
     out = fuse(local, global_field, FusionSchedule(correction_clip=clip))
     assert np.abs(out).max() <= clip
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    d=st.sampled_from([1, 2, 7]),
+    H=st.integers(4, 16),
+    prefix=st.sampled_from(["fft", 0, 2, 5]),
+    protocol=st.sampled_from(["clean", "contaminated", "anchors"]),
+    variant=st.sampled_from(["full", "local_only", "no_memory", "global_only"]),
+    windows=st.integers(2, 30),
+    chunk=st.integers(2, 10),
+    flagged=st.sets(st.integers(0, 29)),
+)
+def test_rollout_in_row_blocks_equals_the_one_block_pass(
+    seed, d, H, prefix, protocol, variant, windows, chunk, flagged
+):
+    # Every block size from d rows (with d = 1, the block floor of two rows
+    # that keeps products off numpy's matrix-vector path) to past the chunk.
+    ds = _stream(seed, d)
+    cfg = RolloutConfig(lookback=16, horizon=H, stride=1, seed=seed, standardize=False,
+                        max_windows=windows, prefix=prefix if prefix == "fft" else min(prefix, H))
+    cfg = variant_config(cfg, variant)
+    lo, _ = ds.range_of("test")
+    backbone = FlagStarts(fit_linear_backbone(ds.part("train"), 16, H),
+                          [lo + 16 + k for k in flagged])
+    s = cfg.solver
+    params = init_params(H, s.context_size, hidden=16, output_scale=s.global_scale, seed=seed)
+    hooks = {"clean": {}, "contaminated": {"contamination_ratio": 0.3},
+             "anchors": {"anchors": (min(6, H), 2)}}[protocol]
+    row_bytes = 8 * d * (5 * H + 2 * s.context_size)
+
+    def rows(block_rows):
+        with mock.patch.multiple(rollout_mod, CHUNK_BYTES=chunk * row_bytes,
+                                 BLOCK_ROWS=block_rows):
+            return [repr(row) for row in rollout(backbone, ds, cfg, params, **hooks).rows]
+
+    one_block = rows(10**9)
+    for block_rows in range(d, (chunk + 1) * d + 1, d):
+        assert rows(block_rows) == one_block, block_rows

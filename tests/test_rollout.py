@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import importlib
+import json
 import re
 import sys
 import threading
@@ -18,7 +19,7 @@ from smoothtta.config import (_NULLABLE, ABLATION_SWITCHES, ConfigError, Rollout
                               SolverConfig, apply_overrides)
 from smoothtta.data import Dataset, Split
 from smoothtta.decoder import (FEATURE_LAYOUT, DecoderParams, decode_batch, feature_blocks,
-                               init_params)
+                               init_params, input_width)
 from smoothtta.fusion import fuse
 from smoothtta.rollout import (
     ContractViolation,
@@ -348,6 +349,18 @@ def test_metrics_csv_and_manifest_round(small_fixture, tmp_path):
     assert timing["worker_busy_seconds"] >= 0 and timing["caller_wait_seconds"] >= 0
 
 
+
+def test_manifest_times_the_callers_correction_pass(small_fixture, tmp_path):
+    fx = small_fixture
+    report = rollout(fx.backbone, fx.dataset, fx.config, _untrained_decoder(fx))
+    timing = report.timing
+    assert 0 < timing["caller_busy_seconds"] <= timing["rollout_seconds"]
+    write_manifest(report, tmp_path / "manifest.json")
+    write_metrics_csv(report, tmp_path / "metrics.csv")
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["timing"]["caller_busy_seconds"] == timing["caller_busy_seconds"]
+    assert "busy" not in (tmp_path / "metrics.csv").read_text()
+
 def test_manifest_records_ablation_clip():
     cfg = RolloutConfig(solver=SolverConfig(no_bound=True))
     assert cfg.manifest()["solver"]["effective_clip"] == "inf"
@@ -586,6 +599,68 @@ def test_training_set_build_holds_only_its_outputs_and_one_chunk():
     assert not feats[:, blocks["memory"].start :].any()
     assert not feats[:, blocks["mask"].start + 8 : blocks["mask"].stop].any()
     assert locals_.base is feats.base and np.array_equal(locals_, feats[:, blocks["local"]])
+
+
+def test_training_set_build_releases_each_chunk_before_preparing_the_next(monkeypatch):
+    # The shape above in six 4-window chunks. Above its outputs the build may
+    # hold the chunk it prepares: six fields, half a field of masks, up to five
+    # fields of the local solve's scratch, and half a field of small per-chunk
+    # arrays. A previous chunk still bound, by the engine's names or by the
+    # build's loop variable, while the next is prepared adds about six fields.
+    L, H, d, stride, windows = 24, 360, 2, 4, 24
+    val = L + H + (windows - 1) * stride
+    clean, noisy = seasonal_stream(val + 200, d, period=12, seed=0)
+    ds = Dataset("peak", noisy, ["a", "b"], split=Split(100, 100 + val))
+    backbone = BiasedOracleForecaster(clean, L, H, 0.3)
+    config = RolloutConfig(lookback=L, horizon=H, stride=stride, prefix=8, standardize=False,
+                           solver=SolverConfig(context_size=4))
+    monkeypatch.setattr(rollout_module, "CHUNK_BYTES", 4 * 8 * d * input_width(H, 4))
+    build_decoder_training_set(backbone, ds, config)  # the cached operators, outside the trace
+
+    tracemalloc.start()
+    try:
+        feats, targets, _, _ = build_decoder_training_set(backbone, ds, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    field = 4 * H * d * 8
+    bound = feats.nbytes + targets.nbytes + (6 + 0.5 + 5 + 0.5) * field
+    assert peak <= bound, f"peak {peak / field:.2f} fields, bound {bound / field:.2f} fields"
+
+
+def test_rollout_holds_two_chunks_and_one_block_of_decoder_activations():
+    # eval-h96's shape: L = H = 96, stride 1, seven channels, FFT prefixes and
+    # a hidden width of 256; 320 windows make two 151-window chunks and a
+    # short one. Above its inputs, rollout may hold the chunk it corrects and
+    # the one the worker prepares (a chunk: six fields and a seventh of masks;
+    # the worker's also up to five fields of the local solve's scratch), plus
+    # the activations of one block of BLOCK_ROWS decoder rows: input rows at
+    # most 4H wide, pre-activation and tanh of the hidden width. A decoder
+    # pass over a whole chunk (1057 rows) holds about eight more fields.
+    L, H, d, windows, hidden = 96, 96, 7, 320, 256
+    test = L + H + windows - 1
+    clean, noisy = seasonal_stream(200 + test, d, period=24, seed=0)
+    ds = Dataset("h96", noisy, [f"c{j}" for j in range(d)], split=Split(100, 200))
+    backbone = BiasedOracleForecaster(clean, L, H, 0.3)
+    config = RolloutConfig(lookback=L, horizon=H, stride=1, standardize=False)
+    s = config.solver
+    assert s.hidden_dim == hidden
+    params = init_params(horizon=H, context_size=s.context_size, hidden=hidden,
+                         output_scale=s.global_scale, seed=0)
+    rollout(backbone, ds, config, params)  # the cached operators, outside the trace
+
+    tracemalloc.start()
+    try:
+        report = rollout(backbone, ds, config, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = rollout_module.CHUNK_BYTES // (8 * d * input_width(H, s.context_size))
+    field = n * H * d * 8
+    activations = rollout_module.BLOCK_ROWS * (4 * H + 2 * hidden) * 8
+    bound = 2 * (6 + 1 / d) * field + 5 * field + activations
+    assert report.n_windows == windows and n >= 150
+    assert peak <= bound, f"peak {peak / field:.2f} fields, bound {bound / field:.2f} fields"
 
 
 def test_readme_solver_table_lists_every_solver_key_with_its_default():
