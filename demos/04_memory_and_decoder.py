@@ -10,7 +10,7 @@ window.
 import numpy as np
 
 from smoothtta import biased_oracle_fixture, cold_start, context_vector, update_memory
-from smoothtta.decoder import gradient_check, init_params
+from smoothtta.decoder import feature_rows, gradient_check, init_params
 from smoothtta.rollout import build_decoder_training_set, train_decoder_for
 
 np.set_printoptions(precision=3, suppress=True)
@@ -35,11 +35,12 @@ print(z.reshape(-1, 2))
 fx = biased_oracle_fixture(horizon=32, lookback=32, channels=2,
                            n_test_windows=30, period=8, seed=5)
 feats, targets, locals_, gate = build_decoder_training_set(fx.backbone, fx.dataset, fx.config)
-print(f"\ntraining samples: {feats.shape[0]} rows of width {feats.shape[1]}")
+print(f"\ntraining samples: {feats.shape[0]} rows of width {feats.shape[1]}, "
+      f"stored by field in {feats.nbytes} bytes")
 
 # Backprop is hand-written; a finite-difference probe keeps it honest.
 probe = init_params(horizon=32, context_size=8, hidden=64, seed=0)
-err = gradient_check(probe, feats[0], targets[0], locals_[0], gate)
+err = gradient_check(probe, feature_rows(feats, [0]), targets[0], locals_[0], gate)
 print(f"gradient check, max relative error: {err:.2e}")
 
 params, trace = train_decoder_for(fx.backbone, fx.dataset, fx.config)

@@ -7,14 +7,15 @@ Weights are shared across channels, trained offline against the fused
 correction target, and frozen during rollout. Backpropagation is written out
 by hand and guarded by a central finite-difference gradient check.
 
-Training fits only the W1 columns with a nonzero feature in some training
-row; the other columns meet only zero features, carry no signal, and are zero
-in the trained decoder. AdamW updates the weights in place, in blocks of
-`_ADAM_BLOCK` (32768) entries. Training's settings are module constants,
-not arguments: AdamW's `_LEARNING_RATE`, `_WEIGHT_DECAY` and gradient-norm
-clip `_GRAD_CLIP`, its budget of `_EPOCHS` epochs of at most `_MAX_BATCHES`
-batches, and the gradient gate's `_GATE_SAMPLES` and `_GATE_TOLERANCE`. Only
-the seed is an argument.
+Training reads dense `build_features` rows, or a `FeatureStore` of each field
+stored once, through `feature_rows`. It fits only the W1 columns with a
+nonzero feature in some training row; the other columns meet only zero
+features, carry no signal, and are zero in the trained decoder. AdamW updates
+the weights in place, in blocks of `_ADAM_BLOCK` (32768) entries. Training's
+settings are module constants, not arguments: AdamW's `_LEARNING_RATE`,
+`_WEIGHT_DECAY` and gradient-norm clip `_GRAD_CLIP`, its budget of `_EPOCHS`
+epochs of at most `_MAX_BATCHES` batches, and the gradient gate's
+`_GATE_SAMPLES` and `_GATE_TOLERANCE`. Only the seed is an argument.
 Inference (`decode_batch`) skips the zero padded-error and mask columns past
 the last observed step, and multiplies the mask and context blocks once per
 window, not once per channel. It also skips the memory-template and context
@@ -188,12 +189,10 @@ def build_features(
     mask: np.ndarray,
     memory_template: np.ndarray,
     context: np.ndarray,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-channel feature rows, shape (d, 5H + 2K). Layout is versioned.
 
-    Leading (window) axes on every input carry through to the output. With
-    `out`, an array of the output's shape, the rows are written into it.
+    Leading (window) axes on every input carry through to the output.
     """
     fields = [forecast, local_field, padded_error, memory_template]
     for p in fields:
@@ -203,7 +202,7 @@ def build_features(
     f, loc, err, mem = (np.swapaxes(p, -1, -2) for p in fields)
     mask_block = np.broadcast_to(mask[..., None, :], mask.shape[:-1] + (d, mask.shape[-1]))
     z_block = np.broadcast_to(context[..., None, :], context.shape[:-1] + (d, context.shape[-1]))
-    return np.concatenate([f, loc, err, mask_block, mem, z_block], axis=-1, out=out)
+    return np.concatenate([f, loc, err, mask_block, mem, z_block], axis=-1)
 
 
 def feature_blocks(horizon: int, context_size: int) -> dict[str, slice]:
@@ -214,6 +213,62 @@ def feature_blocks(horizon: int, context_size: int) -> dict[str, slice]:
         blocks[name] = slice(lo, lo + width)
         lo += width
     return blocks
+
+
+@dataclass(frozen=True)
+class FeatureStore:
+    """Decoder training rows by field; row r is channel r % d of window r // d.
+
+    Per row (N, H): forecasts, local_fields, targets, templates (None: zero).
+    Per window: masks (W, H), contexts (W, 2K). The padded error is derived:
+    the target on the window's mask, zero elsewhere.
+    """
+
+    forecasts: np.ndarray
+    local_fields: np.ndarray
+    targets: np.ndarray
+    templates: np.ndarray | None
+    masks: np.ndarray
+    contexts: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The shape of the dense `build_features` rows."""
+        return len(self.targets), input_width(self.masks.shape[1], self.contexts.shape[1] // 2)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the stored fields, the targets included."""
+        return sum(a.nbytes for a in vars(self).values() if a is not None)
+
+    def any(self, axis: int = 0) -> np.ndarray:
+        """Column-wise (axis 0) any of the dense rows, read off the fields."""
+        W, H = self.masks.shape
+        padded = self.targets.reshape(W, -1, H).any(axis=1) & (self.masks > 0)
+        memory = np.zeros((1, H)) if self.templates is None else self.templates
+        parts = (self.forecasts, self.local_fields, padded, self.masks, memory, self.contexts)
+        return np.concatenate([p.any(axis=0) for p in parts])
+
+
+def feature_rows(features, rows, cols=None) -> np.ndarray:
+    """`features[rows][:, cols]`, C-contiguous; `cols` is a boolean mask, None all.
+
+    `features` is a `build_features` matrix or a `FeatureStore`, whose rows
+    this assembles with the same bytes, block by block in FEATURE_LAYOUT order.
+    """
+    if not isinstance(features, FeatureStore):
+        return np.ascontiguousarray(features[rows][:, slice(None) if cols is None else cols])
+    s, rows = features, np.asarray(rows)
+    (W, H), K = s.masks.shape, s.contexts.shape[1] // 2
+    cols = np.ones(input_width(H, K), bool) if cols is None else cols
+    win = rows // (len(s.targets) // W)
+    mask = s.masks[win]
+    memory = np.zeros((len(rows), H)) if s.templates is None else s.templates[rows]
+    parts = (s.forecasts[rows], s.local_fields[rows], np.where(mask > 0, s.targets[rows], 0.0),
+             mask, memory, s.contexts[win])
+    out = np.empty((len(rows), np.count_nonzero(cols)))  # row-major, as the parts are not
+    return np.concatenate([p[:, cols[b]] for p, b in zip(parts, feature_blocks(H, K).values())],
+                          axis=1, out=out)
 
 
 def input_width(horizon: int, context_size: int) -> int:
@@ -230,7 +285,9 @@ def _forward(params: DecoderParams, features: np.ndarray):
 
 def decoder_span(masks: np.ndarray, padded_errors: np.ndarray) -> int:
     """One past the last step where any (n, H) mask or (n, H, d) padded-error entry is nonzero."""
-    observed = np.flatnonzero(masks.any(axis=0) | padded_errors.any(axis=(0, 2)))
+    n, H, d = padded_errors.shape  # the contiguous axes first: a strided pair reduces slowly
+    steps = padded_errors.reshape(n, H * d).any(axis=0).reshape(H, d).any(axis=1)
+    observed = np.flatnonzero(masks.any(axis=0) | steps)
     return int(observed[-1]) + 1 if observed.size else 0
 
 
@@ -436,11 +493,13 @@ def train_decoder(
     `init_params(...)` (CPython 3.11+ moves it into this frame) is freed
     before the optimizer runs.
 
-    W1 is trained on its "used" columns only, those with a nonzero feature in
-    some row: the forward pass, the gradients and AdamW run on a row-major
-    copy of those columns and on each batch's used features. The other
-    columns meet only zero features, so they move no loss and no other
-    gradient; the trained decoder holds +0.0 in them. AdamW runs in place over
+    `features` is a `build_features` matrix or a `FeatureStore`, read through
+    `feature_rows`. W1 is trained on its "used" columns only, those with a
+    nonzero feature in some row (`features.any(axis=0)`): the forward pass, the
+    gradients and AdamW run on a row-major copy of those columns and on each
+    batch's used features. The other columns meet only zero features, so they
+    move no loss and no other gradient; the trained decoder holds +0.0 in
+    them. AdamW runs in place over
     blocks of `_ADAM_BLOCK` = 32768 entries with two block-sized scratch
     buffers, and its state is freed before the frozen copy is built.
     Logs one INFO event on this module's logger with the gate's worst
@@ -455,7 +514,8 @@ def train_decoder(
     started = time.perf_counter()
     n_check = min(_GATE_SAMPLES, n)
     worst = max(
-        gradient_check(params, features[i], targets[i], local_fields[i], gate, seed=seed + int(i))
+        gradient_check(params, feature_rows(features, [i]), targets[i], local_fields[i], gate,
+                       seed=seed + int(i))
         for i in rng.choice(n, size=n_check, replace=False)
     )
     if worst > _GATE_TOLERANCE:
@@ -490,7 +550,7 @@ def train_decoder(
         epoch_losses = []
         for start in range(0, n, batch_size):
             take = order[start : start + batch_size]
-            batch = np.ascontiguousarray(features[take][:, used])
+            batch = feature_rows(features, take, used)
             loss, grads = _loss_and_grads(live, batch, targets[take], local_fields[take], gate)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(trace + [loss])

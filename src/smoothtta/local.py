@@ -69,8 +69,9 @@ def fit_bounded_response(
 
     Solves min ||B_prefix beta - r||^2 + ridge * ||beta||^2 for each channel
     with B = [harmonic, bias], clips beta into [-coef_clip, coef_clip], and
-    scales the combined field by response_mix. Leading (window) axes are
-    fitted together as one stacked 2x2 solve. A system left singular because
+    scales the combined field by response_mix; it is C-ordered, also where a
+    batched harmonic field is H-major. Leading (window) axes are fitted
+    together as one stacked 2x2 solve. A system left singular because
     the ridge is lost in rounding (collinear fields, as at a 1-step prefix)
     takes its least-squares solution, which the box then clips.
     """
@@ -88,7 +89,9 @@ def fit_bounded_response(
     rhs[..., 1, 0] = np.add.reduce(b * R, axis=-2)
     beta = np.swapaxes(_solve_2x2(G, rhs)[..., 0], -1, -2)
     beta.clip(-coef_clip, coef_clip, out=beta)
-    combined = response_mix * (harmonic * beta[..., :1, :] + bias * beta[..., 1:, :])
+    combined = np.multiply(harmonic, beta[..., :1, :], order="C")
+    combined += bias * beta[..., 1:, :]
+    combined *= response_mix
     return LocalCorrection(
         harmonic_field=harmonic, bias_field=bias, coefficients=beta, combined=combined
     )

@@ -35,9 +35,9 @@ two steps:
   release the GIL, so the two halves overlap on two cores. Each chunk's
   arithmetic is the same on either thread, and every block multiplies the
   chunk's span (`decode_batch`'s `min_span`), so outputs are unchanged.
-  `build_decoder_training_set` iterates `_execute` inline: it writes each
-  chunk's feature rows straight into the training matrix, and a chunk
-  prepared ahead would only raise its peak memory.
+  `build_decoder_training_set` iterates `_execute` inline: it copies each
+  chunk's fields into a `FeatureStore`, and a chunk prepared ahead would
+  only raise its peak memory.
 
 The per-window API (`correct_window` and the functions it calls) runs the
 same kernels with a batch of one. Both read constants built once from the
@@ -62,7 +62,7 @@ from .boundary import (PrefixBoundary, contaminate_errors, derive_seeds, estimat
 from .chain import build_transfer_operator
 from .config import RolloutConfig
 from .data import DataError, Dataset
-from .decoder import (DecoderParams, build_features, decode, decode_batch, decoder_span,
+from .decoder import (DecoderParams, FeatureStore, decode, decode_batch, decoder_span,
                       feature_blocks, init_params, input_width, train_decoder)
 from .fusion import fuse, global_gate
 from .local import solve_local
@@ -75,9 +75,9 @@ from .memory import (
     residual_summaries,
 )
 
-# Execute-chunk budget, sized by the decoder training set's rows of d * (5H + 2K)
-# floats per window. It serves the worker, whose calls stream their weights once
-# per chunk, and the training-set build, which holds one chunk; `rollout` two.
+# Execute-chunk budget, sized by the dense decoder rows of d * (5H + 2K) floats per
+# window. It serves the worker, whose calls stream their weights once per chunk,
+# and the training-set build, which holds one chunk; `rollout` two.
 CHUNK_BYTES = 4 << 20
 BLOCK_ROWS = 256  # rows per block of rollout's decoder pass: its activations, ~2 MB at H=96
 
@@ -324,12 +324,17 @@ def _execute(plan: _Plan, backbone, dataset: Dataset, config: RolloutConfig,
         lengths, masks, padded = _boundaries(X, forecasts, residuals, idx, config, **protocol)
         del X  # read only by the period estimate
 
-        local = np.zeros_like(residuals)
-        for a in np.unique(lengths[lengths > 0]).tolist() if use_local else ():
+        solved = np.unique(lengths[lengths > 0]).tolist() if use_local else []
+        # one prefix length for the whole chunk: the solve's own field, not a zero-filled copy
+        local = None if len(solved) == 1 and lengths.all() else np.zeros_like(residuals)
+        for a in solved:
             sel = lengths == a
-            local[sel] = solve_local(
-                padded[sel, :a], op, s.ridge_coef, s.basis_clip, s.local_mix
-            ).combined
+            combined = solve_local(padded[sel, :a], op, s.ridge_coef, s.basis_clip,
+                                   s.local_mix).combined
+            if local is None:
+                local = combined
+            else:
+                local[sel] = combined
 
         if use_memory:
             summaries[n_summaries : n_summaries + len(idx)] = residual_summaries(residuals)
@@ -505,47 +510,54 @@ def build_decoder_training_set(
     dataset: Dataset,
     config: RolloutConfig,
     part: str = "val",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[FeatureStore, np.ndarray, np.ndarray, np.ndarray]:
     """Per-channel decoder samples from a simulated rollout.
 
     Replays the deployment pipeline (prefix selection, local solve, safe
     memory schedule) through the engine over fully observed windows,
-    emitting one feature row per (window, channel) with the full residual as
+    emitting one sample per (window, channel) with the full residual as
     regression target. Ablation switches do not apply here. Returns
-    (features, targets, local_fields, gate); each chunk's rows are written
-    straight into `features`, and `local_fields` is a view of its local block,
-    not a copy. Logs the build time and, per
+    (features, targets, local_fields, gate): a `FeatureStore` and two of its
+    fields. It stores the template from the first chunk whose template is
+    nonzero on, and no padded error, which is the residual on the mask here.
+    Logs the build time, the store's and the dense rows' MiB and, per
     FEATURE_LAYOUT block, the columns zero in every row (their W1 columns
     are zero in the trained decoder) on the `smoothtta.decoder` logger.
     """
     started = time.perf_counter()
     config.validate()
-    H, d = config.horizon, dataset.channels
+    H, d, K = config.horizon, dataset.channels, config.solver.context_size
     gate = global_gate(config.solver.schedule(ablate=False), H)
     plan = _Plan(_window_starts(dataset, config, part), H, "safe")
-    capacity = len(plan.starts) * d  # rows when no window is flagged
-    width = input_width(H, config.solver.context_size)
-    feats, targets = np.empty((capacity, width)), np.empty((capacity, H))
-    n = 0
+    capacity = len(plan.starts)  # windows when none is flagged
+    rows = [np.empty((capacity * d, H)) for _ in range(3)]  # forecasts, local fields, targets
+    templates, masks, contexts = None, np.empty((capacity, H)), np.empty((capacity, 2 * K))
+    w = 0
     for c in _execute(plan, backbone, dataset, config):
-        k = len(c.windows) * d
-        build_features(c.forecasts, c.local, c.padded, c.masks, c.templates, c.contexts,
-                       out=feats[n : n + k].reshape(len(c.windows), d, width))
-        targets[n : n + k] = c.residuals.transpose(0, 2, 1).reshape(k, H)
-        n += k
-        del c  # released before the engine prepares the next chunk
-    if n == 0:
+        k = len(c.windows)
+        if templates is None and c.templates.any():
+            templates = np.zeros((capacity * d, H))
+        for out, field in zip(rows + [templates], (c.forecasts, c.local, c.residuals, c.templates)):
+            if out is not None:
+                out[w * d : (w + k) * d].reshape(k, d, H)[:] = field.transpose(0, 2, 1)
+        masks[w : w + k], contexts[w : w + k] = c.masks, c.contexts
+        w += k
+        del c, field  # released before the engine prepares the next chunk
+    if w == 0:
         raise DataError(f"no usable windows in the {part} split")
-    feats = feats[:n]
-    zero, blocks = ~feats.any(axis=0), feature_blocks(H, config.solver.context_size)
+    store = FeatureStore(*(r[: w * d] for r in rows),
+                         None if templates is None else templates[: w * d], masks[:w], contexts[:w])
+    zero, (n, width) = ~store.any(axis=0), store.shape
     decoder_log.info(
-        "decoder training set: %d rows of width %d built in %.3f s; "
+        "decoder training set: %d rows of width %d built in %.3f s, stored by field in "
+        "%.1f MiB besides the targets (dense rows: %.1f MiB); "
         "columns zero in every row, by block: %s",
-        n, feats.shape[1], time.perf_counter() - started,
+        n, width, time.perf_counter() - started,
+        (store.nbytes - store.targets.nbytes) / 2**20, n * width * 8 / 2**20,
         ", ".join(f"{name} {int(zero[cols].sum())}/{cols.stop - cols.start}"
-                  for name, cols in blocks.items()),
+                  for name, cols in feature_blocks(H, K).items()),
     )
-    return feats, targets[:n], feats[:, blocks["local"]], gate
+    return store, store.targets, store.local_fields, gate
 
 
 def decoder_shape(config: RolloutConfig) -> dict:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from smoothtta.backbones import NormalizationWrapper, fit_linear_backbone
-from smoothtta.decoder import init_params
+from smoothtta.decoder import feature_rows, init_params
 from smoothtta.rollout import build_decoder_training_set, rollout
 from smoothtta.synth import biased_oracle_fixture
 
@@ -76,7 +76,9 @@ def _rows(report) -> dict[str, np.ndarray]:
 
 
 def _trainset(result) -> dict[str, np.ndarray]:
-    return dict(zip(("features", "targets", "locals", "gate"), result))
+    store, targets, locals_, gate = result  # the dense rows, assembled from the store
+    features = feature_rows(store, np.arange(store.shape[0]))
+    return {"features": features, "targets": targets, "locals": locals_, "gate": gate}
 
 
 def cases():

@@ -523,9 +523,9 @@ def test_train_decoder_exits_4_when_a_feature_is_nan(workdir, monkeypatch, capsy
     original = rollout_module.build_decoder_training_set
 
     def with_nan_feature(*args, **kwargs):
-        feats, *rest = original(*args, **kwargs)
-        feats[:, 0] = np.nan
-        return (feats, *rest)
+        store, *rest = original(*args, **kwargs)
+        store.forecasts[:, 0] = np.nan  # the first feature column of every row
+        return (store, *rest)
 
     monkeypatch.setattr(rollout_module, "build_decoder_training_set", with_nan_feature)
     assert _train_in_process(workdir) == 4

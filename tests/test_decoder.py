@@ -18,6 +18,7 @@ from smoothtta.decoder import (
     _loss_and_grads,
     build_features,
     decode,
+    decoder_span,
     gradient_check,
     init_params,
     load_params,
@@ -239,6 +240,26 @@ def test_macs_per_window_falls_with_the_observed_span():
     counts = [p.macs_per_window(span, channels=3) for span in range(H, -1, -1)]
     assert all(a > b for a, b in zip(counts, counts[1:]))
     assert counts[0] < 3 * (p.W1.size + p.W2.size)  # below the dense count at any span
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 4),
+    steps=st.integers(1, 6),
+    d=st.integers(1, 3),
+    h_major=st.booleans(),
+    data=st.data(),
+)
+def test_decoder_span_equals_the_strided_reduction(n, steps, d, h_major, data):
+    values = st.sampled_from([0.0, -0.0, 1.0, -2.5, np.nan, np.inf, -np.inf])
+    masks = np.array(data.draw(st.lists(values, min_size=n * steps, max_size=n * steps)))
+    padded = np.array(data.draw(st.lists(values, min_size=n * steps * d,
+                                         max_size=n * steps * d))).reshape(n, steps, d)
+    if h_major:  # a batched local solve's layout
+        padded = np.ascontiguousarray(padded.transpose(1, 0, 2)).transpose(1, 0, 2)
+    masks = masks.reshape(n, steps)
+    observed = np.flatnonzero(masks.any(axis=0) | padded.any(axis=(0, 2)))
+    assert decoder_span(masks, padded) == (int(observed[-1]) + 1 if observed.size else 0)
 
 
 def test_params_are_frozen():

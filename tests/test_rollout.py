@@ -18,9 +18,12 @@ from smoothtta.backbones import BiasedOracleForecaster
 from smoothtta.config import (_NULLABLE, ABLATION_SWITCHES, ConfigError, RolloutConfig,
                               SolverConfig, apply_overrides)
 from smoothtta.data import Dataset, Split
-from smoothtta.decoder import (FEATURE_LAYOUT, DecoderParams, decode_batch, feature_blocks,
-                               init_params, input_width)
+import smoothtta.decoder as dec
+from smoothtta.decoder import (FEATURE_LAYOUT, DecoderParams, build_features, decode_batch,
+                               feature_blocks, feature_rows, init_params, input_width,
+                               train_decoder)
 from smoothtta.fusion import fuse
+from smoothtta.local import solve_local
 from smoothtta.rollout import (
     ContractViolation,
     build_decoder_training_set,
@@ -32,6 +35,8 @@ from smoothtta.rollout import (
     write_metrics_csv,
 )
 from smoothtta.synth import biased_oracle_fixture, seasonal_stream
+
+from engine_cases import NanAtStarts
 
 # the package re-exports the function `rollout` under the submodule's name
 rollout_module = importlib.import_module("smoothtta.rollout")
@@ -449,6 +454,25 @@ def test_training_set_event_counts_zero_columns_by_block(small_fixture, caplog):
     assert lo == feats.shape[1]
 
 
+def test_training_set_event_reports_the_store_next_to_the_dense_rows(caplog):
+    # the dead-column shape of the memory tests below, 80 windows
+    L, H, d, stride, windows = 24, 360, 2, 4, 80
+    val = L + H + (windows - 1) * stride
+    clean, noisy = seasonal_stream(val + 200, d, period=12, seed=0)
+    ds = Dataset("peak", noisy, ["a", "b"], split=Split(100, 100 + val))
+    config = RolloutConfig(lookback=L, horizon=H, stride=stride, prefix=8, standardize=False,
+                           solver=SolverConfig(context_size=4))
+    with caplog.at_level("INFO", logger="smoothtta.decoder"):
+        store, targets, _, _ = build_decoder_training_set(
+            BiasedOracleForecaster(clean, L, H, 0.3), ds, config)
+    message = next(r.getMessage() for r in caplog.records if r.name == "smoothtta.decoder")
+    n, width = store.shape
+    stored = (store.nbytes - targets.nbytes) / 2**20
+    assert f"stored by field in {stored:.1f} MiB besides the targets " in message
+    assert f"(dense rows: {n * width * 8 / 2**20:.1f} MiB)" in message
+    assert "in 1.1 MiB besides the targets (dense rows: 2.2 MiB)" in message
+
+
 class _Boom(RuntimeError):
     pass
 
@@ -570,12 +594,12 @@ def test_training_set_build_holds_only_its_outputs_and_one_chunk():
     # no horizon elapses inside the validation split, so the memory and
     # context columns are zero, and the fixed 8-step prefix zeroes the padded
     # error and mask past step 8. 24 windows of 2 channels fit one execute
-    # chunk. Above the features and targets it returns, the build may hold one
-    # chunk: six (n, H, d) fields (forecasts, targets, residuals, padded
-    # errors, local fields, templates), half a field of masks, and up to five
-    # fields of the local solve's propagated, combined and scratch fields. A
-    # second copy of the local fields, or a chunk's feature rows built apart
-    # from the returned matrix (five fields), breaks the bound.
+    # chunk. Above the store it returns (its fields, the targets included),
+    # the build may hold one chunk: six (n, H, d) fields (forecasts, targets,
+    # residuals, padded errors, local fields, templates), half a field of
+    # masks, and up to five fields of the local solve's propagated, combined
+    # and scratch fields. Dense 5H + 2K feature rows (about 2.5 fields more
+    # than the store) or a second copy of a stored field break the bound.
     L, H, d, stride, windows = 24, 360, 2, 4, 24
     val = L + H + (windows - 1) * stride
     clean, noisy = seasonal_stream(val + 200, d, period=12, seed=0)
@@ -587,22 +611,23 @@ def test_training_set_build_holds_only_its_outputs_and_one_chunk():
 
     tracemalloc.start()
     try:
-        feats, targets, locals_, _ = build_decoder_training_set(backbone, ds, config)
+        store, targets, locals_, _ = build_decoder_training_set(backbone, ds, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     field = windows * H * d * 8
-    bound = feats.nbytes + targets.nbytes + (6 + 0.5 + 5) * field
+    bound = store.nbytes + (6 + 0.5 + 5) * field
     assert peak <= bound, f"peak {peak / field:.2f} fields, bound {bound / field:.2f} fields"
     blocks = feature_blocks(H, 4)
-    assert feats.shape == (windows * d, 5 * H + 8)
-    assert not feats[:, blocks["memory"].start :].any()
-    assert not feats[:, blocks["mask"].start + 8 : blocks["mask"].stop].any()
-    assert locals_.base is feats.base and np.array_equal(locals_, feats[:, blocks["local"]])
+    assert store.shape == (windows * d, 5 * H + 8)
+    assert store.templates is None and not store.any(axis=0)[blocks["memory"].start :].any()
+    assert not store.masks[:, 8:].any()
+    # the local field and the targets are stored once, not copied
+    assert locals_ is store.local_fields and targets is store.targets
 
 
 def test_training_set_build_releases_each_chunk_before_preparing_the_next(monkeypatch):
-    # The shape above in six 4-window chunks. Above its outputs the build may
+    # The shape above in six 4-window chunks. Above its store the build may
     # hold the chunk it prepares: six fields, half a field of masks, up to five
     # fields of the local solve's scratch, and half a field of small per-chunk
     # arrays. A previous chunk still bound, by the engine's names or by the
@@ -619,13 +644,141 @@ def test_training_set_build_releases_each_chunk_before_preparing_the_next(monkey
 
     tracemalloc.start()
     try:
-        feats, targets, _, _ = build_decoder_training_set(backbone, ds, config)
+        store, _, _, _ = build_decoder_training_set(backbone, ds, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     field = 4 * H * d * 8
-    bound = feats.nbytes + targets.nbytes + (6 + 0.5 + 5 + 0.5) * field
+    bound = store.nbytes + (6 + 0.5 + 5 + 0.5) * field
     assert peak <= bound, f"peak {peak / field:.2f} fields, bound {bound / field:.2f} fields"
+
+
+def test_training_set_and_decoder_fit_hold_the_store_one_chunk_and_the_optimizer_state(
+    monkeypatch,
+):
+    # The shape above with 80 windows, in ten 8-window chunks (no horizon
+    # elapses inside the split yet, so no template is stored), and a hidden
+    # width of 8, so that the training set dominates. The gate's probe budget
+    # and AdamW's block are cut to 64 KiB and 1024 entries, two fixed costs of
+    # any training set. Above the stream and the backbone, the build and
+    # fit_decoder together may hold the store, one chunk of the build (as
+    # above) and the optimizer state: what train_decoder holds while it trains
+    # (as in test_fit_decoder_frees_the_initial_weights_before_training), its
+    # two AdamW scratch blocks and two probe chunks of the gate. Dense 5H + 2K
+    # feature rows, about 25 fields more than the store, break the bound.
+    L, H, d, stride, windows, per_chunk = 24, 360, 2, 4, 80, 8
+    val = L + H + (windows - 1) * stride
+    clean, noisy = seasonal_stream(val + 200, d, period=12, seed=0)
+    ds = Dataset("peak", noisy, ["a", "b"], split=Split(100, 100 + val))
+    backbone = BiasedOracleForecaster(clean, L, H, 0.3)
+    config = RolloutConfig(lookback=L, horizon=H, stride=stride, prefix=8, standardize=False,
+                           solver=SolverConfig(context_size=4, hidden_dim=8))
+    monkeypatch.setattr(rollout_module, "CHUNK_BYTES", per_chunk * 8 * d * input_width(H, 4))
+    monkeypatch.setattr(dec, "_PROBE_CHUNK_BYTES", 1 << 16)
+    monkeypatch.setattr(dec, "_ADAM_BLOCK", 1 << 10)
+    build_decoder_training_set(backbone, ds, config)  # the cached operators, outside the trace
+    p = init_params(**decoder_shape(config))
+    w1, others = p.W1.nbytes, p.b1.nbytes + p.W2.nbytes + p.b2.nbytes
+    del p
+
+    tracemalloc.start()
+    try:
+        trainset = build_decoder_training_set(backbone, ds, config)
+        params, _ = fit_decoder(trainset, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    store = trainset[0]
+    used = store.any(axis=0).mean()
+    field = per_chunk * H * d * 8
+    chunk = (6 + 0.5 + 5 + 0.5) * field
+    optimizer = ((2 + 4 * used + 0.5) * w1 + 5 * others + 2 * 8 * dec._ADAM_BLOCK
+                 + 2 * dec._PROBE_CHUNK_BYTES)
+    bound = store.nbytes + chunk + optimizer
+    assert store.templates is None and params.hidden == 8
+    assert peak <= bound, f"peak {peak / field:.2f} fields, bound {bound / field:.2f} fields"
+
+
+@pytest.mark.parametrize("protocol", [{}, {"anchors": (8, 3)}])
+def test_one_prefix_length_for_the_whole_chunk_keeps_the_solves_own_field(
+    small_fixture, monkeypatch, protocol
+):
+    # a fixed prefix or anchors give every window one length: the chunk's local
+    # field is the solve's row-major output, not a copy into a zero-filled field
+    fx = small_fixture
+    config = dataclasses.replace(fx.config, prefix=5)
+    solved = []
+
+    def recorded(*args, **kwargs):
+        out = solve_local(*args, **kwargs)
+        solved.append(out.combined)
+        return out
+
+    monkeypatch.setattr(rollout_module, "solve_local", recorded)
+    width = input_width(16, config.solver.context_size)
+    monkeypatch.setattr(rollout_module, "CHUNK_BYTES", 8 * 8 * fx.dataset.channels * width)
+    plan = rollout_module._Plan(rollout_module._window_starts(fx.dataset, config), 16, "safe")
+    chunks = list(rollout_module._execute(plan, fx.backbone, fx.dataset, config, **protocol))
+    assert len(chunks) == len(solved) > 1
+    for c, combined in zip(chunks, solved):
+        assert c.local is combined and c.local.flags.c_contiguous
+
+
+def _dense_training_rows(backbone, dataset, config):
+    """The training set's `build_features` rows, chunk by chunk through the engine."""
+    H = config.horizon
+    plan = rollout_module._Plan(rollout_module._window_starts(dataset, config, "val"), H, "safe")
+    width = input_width(H, config.solver.context_size)
+    return np.concatenate([
+        build_features(c.forecasts, c.local, c.padded, c.masks, c.templates, c.contexts)
+        .reshape(-1, width) for c in rollout_module._execute(plan, backbone, dataset, config)
+    ])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.sampled_from([1, 2, 7]),
+    prefix=st.sampled_from([0, 3, "fft"]),
+    flag_every=st.sampled_from([None, 3, 5]),
+    folds=st.booleans(),
+    seed=st.integers(0, 1000),
+    data=st.data(),
+)
+def test_the_store_assembles_the_dense_training_rows_byte_for_byte(
+    d, prefix, flag_every, folds, seed, data
+):
+    # the memory folds once a window's horizon elapses inside the split
+    L, H, stride = 24, 12, 2
+    windows = 12 if folds else 6
+    val = L + H + (windows - 1) * stride
+    clean, noisy = seasonal_stream(val + 100, d, period=6, seed=seed)
+    ds = Dataset("store", noisy, [f"c{j}" for j in range(d)], split=Split(50, 50 + val))
+    backbone = BiasedOracleForecaster(clean, L, H, 0.3)
+    if flag_every is not None:
+        backbone = NanAtStarts(backbone, flag_every)
+    config = RolloutConfig(lookback=L, horizon=H, stride=stride, prefix=prefix,
+                           standardize=False, solver=SolverConfig(hidden_dim=8))
+    store, targets, locals_, gate = build_decoder_training_set(backbone, ds, config)
+    dense = _dense_training_rows(backbone, ds, config)
+    n, width = dense.shape
+    assert store.shape == (n, width) and len(targets) == len(locals_) == n
+
+    rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+    cols = data.draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=width,
+                                                   max_size=width).map(np.array)))
+    got = feature_rows(store, rows, cols)
+    want = dense[rows][:, slice(None) if cols is None else cols]
+    assert got.flags.c_contiguous and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(store.any(axis=0), dense.any(axis=0))  # `used`, and the zero counts
+    memory = feature_blocks(H, config.solver.context_size)["memory"]
+    assert (store.templates is None) == (not dense[:, memory].any())
+
+    def digest(features):
+        params = init_params(**decoder_shape(config), seed=seed)
+        return train_decoder(params, features, targets, locals_, gate, seed=seed)[0].digest()
+
+    assert digest(store) == digest(dense)
 
 
 def test_rollout_holds_two_chunks_and_one_block_of_decoder_activations():
