@@ -11,10 +11,16 @@ lets the harness verify nothing moved during a rollout.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import logging
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import paramio
+
+logger = logging.getLogger(__name__)
 
 
 class FitError(RuntimeError):
@@ -83,7 +89,15 @@ def predict_batch(backbone, X: np.ndarray, starts) -> np.ndarray:
 def fit_linear_backbone(
     train_series: np.ndarray, lookback: int, horizon: int, ridge_strength: float = 1e-3
 ) -> LinearForecaster:
-    """Ridge-fit the lookback-to-horizon map over every sliding train window."""
+    """Ridge-fit the lookback-to-horizon map over every sliding train window.
+
+    Channels are fitted whole on two threads, the caller and one helper, each
+    taking the next unfitted channel from a shared counter. A channel's
+    arithmetic is the same on either thread, so the weights keep their bits;
+    no BLAS product is split, as its rows would round differently. An error
+    in a channel's fit reaches the caller once both threads have stopped.
+    Logs one INFO event with the wall time and the channels each thread fitted.
+    """
     Y = np.asarray(train_series, dtype=float)
     T, d = Y.shape
     n_windows = T - lookback - horizon + 1
@@ -94,18 +108,32 @@ def fit_linear_backbone(
     weights = np.empty((d, lookback, horizon))
     intercepts = np.empty((d, horizon))
     starts = np.arange(n_windows)
-    for c in range(d):
-        col = Y[:, c]
-        X = np.lib.stride_tricks.sliding_window_view(col, lookback)[starts]
-        targets = np.lib.stride_tricks.sliding_window_view(col, horizon)[starts + lookback]
-        x_mean = X.mean(axis=0)
-        t_mean = targets.mean(axis=0)
-        X -= x_mean  # both are fancy-indexed copies: centre them in place
-        targets -= t_mean
-        G = X.T @ X + ridge_strength * np.eye(lookback)
-        W = np.linalg.solve(G, X.T @ targets)
-        weights[c] = W
-        intercepts[c] = t_mean - x_mean @ W
+    taken = itertools.count()  # next() on a count is atomic: each channel goes to one thread
+
+    def fit_channels() -> list[int]:
+        fitted = []
+        while (c := next(taken)) < d:
+            col = Y[:, c]
+            X = np.lib.stride_tricks.sliding_window_view(col, lookback)[starts]
+            targets = np.lib.stride_tricks.sliding_window_view(col, horizon)[starts + lookback]
+            x_mean = X.mean(axis=0)
+            t_mean = targets.mean(axis=0)
+            X -= x_mean  # both are fancy-indexed copies: centre them in place
+            targets -= t_mean
+            G = X.T @ X + ridge_strength * np.eye(lookback)
+            W = np.linalg.solve(G, X.T @ targets)
+            weights[c] = W
+            intercepts[c] = t_mean - x_mean @ W
+            fitted.append(c)
+        return fitted
+
+    started = time.perf_counter()
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="smoothtta-fit") as pool:
+        helper = pool.submit(fit_channels)
+        mine = fit_channels()
+        theirs = helper.result()  # re-raises the helper's exception
+    logger.info("linear backbone fitted in %.3f s: channels %s on the calling thread, %s on "
+                "the helper", time.perf_counter() - started, mine, theirs)
     return LinearForecaster(lookback, horizon, weights, intercepts)
 
 

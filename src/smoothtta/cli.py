@@ -37,6 +37,7 @@ from .protocols import (
     sweep_config,
 )
 from .rollout import (
+    UNREVEALED_KEYS,
     ContractViolation,
     decoder_shape,
     fit_decoder,
@@ -219,7 +220,8 @@ def cmd_rollout(args) -> int:
     _write_report(report, _out_dir(args, "rollout"))
     agg = report.aggregate()
     print(json.dumps(report.summary(), indent=2, sort_keys=True))
-    print(f"improvement over zero-shot: {agg.get('improvement', 0.0):+.2%}")
+    print(f"improvement over zero-shot: {agg.get('improvement', 0.0):+.2%} "
+          f"(unrevealed steps: {agg['improvement_unrevealed']:+.2%})")
     return 0
 
 
@@ -338,7 +340,7 @@ def cmd_sweep(args) -> int:
     cfg, ds, backbone, decoder_params = _prepare(args)
     reports = run_sweep(backbone, ds, cfg, decoder_params, args.parameter, grid)
     out = _out_dir(args, "sweep")
-    keys = ("mse_base", "mse_corrected", "mae_corrected", "improvement")
+    keys = ("mse_base", "mse_corrected", "mae_corrected", "improvement", *UNREVEALED_KEYS)
     rows = []
     for (value, report), name in zip(reports.items(), names):
         _write_report(report, out, f"_{args.parameter}_{name}")

@@ -103,7 +103,8 @@ def load_csv(path, policy: str = "drop-row", name: str | None = None) -> Dataset
     policy handles rows with missing values: "drop-row" removes them with a
     logged warning, "forward-fill" copies the previous row's value (leading
     gaps are dropped). Rows with the wrong field count are a hard parse
-    error carrying the line number.
+    error carrying the line number. A file whose data cells are all numbers
+    is converted by one `np.loadtxt` pass; any other, cell by cell.
     """
     if policy not in ("drop-row", "forward-fill"):
         raise DataError(f"unknown missing-value policy {policy!r}")
@@ -133,17 +134,19 @@ def load_csv(path, policy: str = "drop-row", name: str | None = None) -> Dataset
         raise DataError(f"{path}: no numeric channels found")
 
     first_line = 2 if has_header else 1
-    values = np.empty((len(body), n_channels))
-    stamps: list[str] = []
-    for row, line in enumerate(body):
-        cells = line.split(",")
-        if len(cells) != n_fields:
-            raise DataError(
-                f"{path}:{row + first_line}: expected {n_fields} fields, found {len(cells)}"
-            )
-        values[row] = [_cell(c) for c in cells[n_fields - n_channels :]]  # None -> NaN
-        if has_timestamp:
-            stamps.append(cells[0].strip())
+    for row, line in enumerate(body):  # loadtxt's `usecols` would drop extra fields silently
+        if line.count(",") != n_fields - 1:
+            raise DataError(f"{path}:{row + first_line}: expected {n_fields} fields, "
+                            f"found {line.count(',') + 1}")
+    lead = n_fields - n_channels
+    stamps = [line.split(",", 1)[0].strip() for line in body] if has_timestamp else []
+    try:  # a clean file: every data cell a number, converted in one C pass
+        values = np.loadtxt(body, delimiter=",", comments=None, usecols=range(lead, n_fields),
+                            ndmin=2)
+    except ValueError:  # an empty, text, quoted or otherwise unclean cell: cell by cell
+        values = np.empty((len(body), n_channels))
+        for row, line in enumerate(body):
+            values[row] = [_cell(c) for c in line.split(",")[lead:]]  # None -> NaN
     gaps = ~np.isfinite(values)
     missing = gaps.any(axis=1)
     if policy == "drop-row":

@@ -450,8 +450,16 @@ def gradient_check(
         p = probes[lo : lo + chunk]
         u = unit[p]
         dt = np.tanh(z[:, u] + moves * slope[:, p]) - t[:, u]  # (2, rows, probes)
-        moved = err[:, None] + dt[..., None] * (gain * W2[:, u].T)
-        losses = np.mean(moved**2, axis=(1, 3))
+        # the moved error terms dt * (gain * W2[:, u].T) + err, built and squared in one
+        # (2, rows, probes, H) array: the (probes, H) slopes wait in its first slab
+        moved = np.empty(dt.shape + b2.shape)
+        slab, dt = moved.reshape(-1, *moved.shape[2:]), dt.reshape(-1, p.size, 1)
+        np.take(W2.T, u, axis=0, out=slab[0], mode="clip")  # "raise" would buffer a copy
+        slab[0] *= gain
+        np.multiply(dt[1:], slab[0], out=slab[1:])
+        slab[0] *= dt[0]
+        moved += err[:, None]  # IEEE products and sums commute: the same bits in any order
+        losses = np.mean(np.square(moved, out=moved), axis=(1, 3))
         numeric[p] = (losses[0] - losses[1]) / (2.0 * step)
 
     # output layer: error column s moves by step * gain[s] * (t[:, u], or 1 for b2)

@@ -23,7 +23,7 @@ def save_blocks(path, header: dict, blocks: dict[str, np.ndarray]) -> None:
     for name, arr in blocks.items():
         arr = np.asarray(arr, dtype=np.float64)
         manifest.append({"name": name, "shape": list(arr.shape)})
-        payload.append(np.ascontiguousarray(arr).tobytes(order="C"))
+        payload.append(np.ascontiguousarray(arr))  # written from its own buffer, uncopied
     head = dict(header)
     head["_format_version"] = FORMAT_VERSION
     head["_blocks"] = manifest

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -75,9 +76,12 @@ from .memory import (
     residual_summaries,
 )
 
-# Execute-chunk budget, sized by the dense decoder rows of d * (5H + 2K) floats per
-# window. It serves the worker, whose calls stream their weights once per chunk,
-# and the training-set build, which holds one chunk; `rollout` two.
+# Execute-chunk budget. A chunk takes CHUNK_BYTES // (8 * d * (5H + 2K)) windows, the
+# decoder's input width per window; it holds about six (H, d) fields per window (forecasts,
+# targets, residuals, padded errors, local field, template) and the masks and contexts, so
+# about 1.2 budgets. It serves the worker, whose calls stream their weights once per chunk,
+# and the training-set build, which holds one chunk; `rollout` two. Another size can move
+# the last bits of the outputs: short BLAS products may round differently from tall ones.
 CHUNK_BYTES = 4 << 20
 BLOCK_ROWS = 256  # rows per block of rollout's decoder pass: its activations, ~2 MB at H=96
 
@@ -88,12 +92,18 @@ class ContractViolation(RuntimeError):
     """Leakage or frozen-parameter breach (CLI exit code 4)."""
 
 
+UNREVEALED_KEYS = ("mse_base_unrevealed", "mse_corrected_unrevealed", "improvement_unrevealed")
+
+
 @dataclass
 class EvalReport:
     dataset: str
     backbone: str
     manifest: dict
     rows: list[dict]
+    # per row: squared-error sums, base and corrected, over the (step, channel) entries
+    # the window's boundary left unobserved, and their count; never a CSV column
+    unrevealed: np.ndarray
     n_flagged: int = 0
     timing: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
@@ -103,7 +113,14 @@ class EvalReport:
         return len(self.rows)
 
     def aggregate(self) -> dict:
-        return aggregate_rows(self.rows)
+        """`aggregate_rows`, then the `UNREVEALED_KEYS`, pooled over every window's
+        unrevealed entries: NaN if there are none, or if their base error is zero."""
+        agg = aggregate_rows(self.rows)
+        base, corrected, count = self.unrevealed.sum(axis=0).tolist()
+        agg["mse_base_unrevealed"] = base / count if count else math.nan
+        agg["mse_corrected_unrevealed"] = corrected / count if count else math.nan
+        agg["improvement_unrevealed"] = (base - corrected) / base if base else math.nan
+        return agg
 
     def summary(self) -> dict:
         return {
@@ -115,7 +132,8 @@ class EvalReport:
             **self.extra,
         }
 
-    def summary_row(self, keys=("mse_base", "mse_corrected", "improvement"), **lead) -> dict:
+    def summary_row(self, keys=("mse_base", "mse_corrected", "improvement", *UNREVEALED_KEYS),
+                    **lead) -> dict:
         """One summary-CSV row: the `lead` columns, then the named aggregates."""
         agg = self.aggregate()
         return {**lead, **{k: agg[k] for k in keys}}
@@ -394,15 +412,25 @@ class _OneAhead(ThreadPoolExecutor):
             yield item
 
 
-def _metrics(chunk: _Chunk, corrected: np.ndarray, sl: slice) -> dict[str, list[float]]:
+def _metrics(chunk: _Chunk, corrected: np.ndarray, sl: slice, unseen: np.ndarray | None = None):
+    """Per-window mean errors over steps `sl`; with `unseen` ((n, H), 1.0 on the steps to
+    sum, `sl` the whole horizon), also each window's base and corrected squared errors
+    summed over those steps, taken from the squares the means use, one held at a time."""
     err_b = chunk.residuals[:, sl]
     err_c = chunk.targets[:, sl] - corrected[:, sl]
+    mse, sums = [], []
+    for err in (err_b, err_c):
+        sq = err**2
+        mse.append(np.mean(sq, axis=(1, 2)).tolist())
+        if unseen is not None:  # one (1, H) @ (H, d) product per window
+            sums.append(np.matmul(unseen[:, None], sq).sum(axis=(1, 2)))
+        del sq
     return {
-        "mse_base": np.mean(err_b**2, axis=(1, 2)).tolist(),
-        "mse_corrected": np.mean(err_c**2, axis=(1, 2)).tolist(),
+        "mse_base": mse[0],
+        "mse_corrected": mse[1],
         "mae_base": np.mean(np.abs(err_b), axis=(1, 2)).tolist(),
         "mae_corrected": np.mean(np.abs(err_c), axis=(1, 2)).tolist(),
-    }
+    }, sums
 
 
 def rollout(
@@ -426,7 +454,9 @@ def rollout(
     the prefix that contamination corrupts, so the two cannot be combined.
     The worker prepares chunks sized by `CHUNK_BYTES`; the caller corrects
     each in blocks of at most `BLOCK_ROWS` decoder rows, which bound its
-    activations. `timing` records both threads' busy seconds.
+    activations. `timing` records both threads' busy seconds. `unrevealed`
+    holds each window's squared errors summed over the steps its mask leaves
+    unobserved, from the whole-horizon squares the headline metrics use.
     """
     config.validate()
     if anchors is not None and contamination_ratio > 0:
@@ -438,7 +468,8 @@ def rollout(
     fold = use_decoder and decoder_params.reads_memory and not s.no_memory
     backbone_digest = backbone.param_digest()
     sigma = contamination_sigma if contamination_sigma is not None else dataset.train_std()
-    slices = {"": headline_slice if headline_slice is not None else slice(0, H)}
+    every = slice(0, H)
+    slices = {"": headline_slice if headline_slice is not None else every}
     slices.update({f"{name}_": sl for name, sl in (extra_slices or {}).items()})
 
     plan = _Plan(_window_starts(dataset, config), H, config.memory_schedule)
@@ -446,6 +477,7 @@ def rollout(
                       use_memory=fold, contamination_ratio=contamination_ratio,
                       contamination_sigma=sigma, anchors=anchors)
     rows: list[dict] = []
+    unrevealed: list[np.ndarray] = []  # per block, beside its rows
 
     def correction(c: _Chunk, span: int) -> np.ndarray:
         global_field = (
@@ -474,8 +506,14 @@ def rollout(
                     "prefix_length": c.lengths.tolist(),
                     "memory_version": c.versions.tolist(),
                 }
+                unseen, sums = 1.0 - c.masks, []  # the steps each boundary left unobserved
                 for prefix, sl in slices.items():
-                    columns.update({prefix + k: v for k, v in _metrics(c, corrected, sl).items()})
+                    metrics, found = _metrics(c, corrected, sl, unseen if sl == every else None)
+                    columns.update({prefix + k: v for k, v in metrics.items()})
+                    sums = found or sums
+                if not sums:  # the headline scores some steps only; the sums need every step
+                    sums = _metrics(c, corrected, every, unseen)[1]
+                unrevealed.append(np.stack([*sums, unseen.sum(axis=1) * dataset.channels], axis=1))
                 rows.extend(dict(zip(columns, values)) for values in zip(*columns.values()))
             busy += time.perf_counter() - started
     elapsed = time.perf_counter() - t0
@@ -490,6 +528,7 @@ def rollout(
         backbone=getattr(backbone, "kind", type(backbone).__name__),
         manifest={**config.manifest(), "memory_folded": fold},
         rows=rows,
+        unrevealed=np.concatenate(unrevealed) if unrevealed else np.zeros((0, 3)),
         n_flagged=plan.n_flagged,
         timing={
             "rollout_seconds": elapsed,

@@ -1,4 +1,7 @@
 import hashlib
+import logging
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -203,3 +206,87 @@ def test_linear_backbone_fit_matches_the_copying_fit_bit_for_bit(
     weights, intercepts = _old_fit(series, lookback, horizon, ridge)
     assert fc.weights.tobytes() == weights.tobytes()
     assert fc.intercepts.tobytes() == intercepts.tobytes()
+
+
+def _serial_fit(train_series, lookback, horizon, ridge_strength):
+    """The fit on the calling thread alone, channel after channel, centring in place."""
+    Y = np.asarray(train_series, dtype=float)
+    d = Y.shape[1]
+    starts = np.arange(Y.shape[0] - lookback - horizon + 1)
+    weights, intercepts = np.empty((d, lookback, horizon)), np.empty((d, horizon))
+    for c in range(d):
+        col = Y[:, c]
+        X = np.lib.stride_tricks.sliding_window_view(col, lookback)[starts]
+        targets = np.lib.stride_tricks.sliding_window_view(col, horizon)[starts + lookback]
+        x_mean = X.mean(axis=0)
+        t_mean = targets.mean(axis=0)
+        X -= x_mean
+        targets -= t_mean
+        G = X.T @ X + ridge_strength * np.eye(lookback)
+        W = np.linalg.solve(G, X.T @ targets)
+        weights[c] = W
+        intercepts[c] = t_mean - x_mean @ W
+    return weights, intercepts
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    channels=st.sampled_from([1, 2, 3, 7]),
+    lookback=st.integers(1, 20),
+    horizon=st.integers(1, 20),
+    extra=st.integers(0, 50),
+    ridge=st.sampled_from([1e-9, 1e-3, 1.0, 1e6]),
+    seed=st.integers(0, 2**16),
+)
+def test_two_thread_fit_equals_the_serial_per_channel_fit_byte_for_byte(
+    channels, lookback, horizon, extra, ridge, seed
+):
+    rng = np.random.default_rng(seed)
+    series = rng.standard_normal((lookback + horizon + extra, channels)).cumsum(axis=0)
+    fc = fit_linear_backbone(series, lookback, horizon, ridge)
+    weights, intercepts = _serial_fit(series, lookback, horizon, ridge)
+    assert fc.weights.tobytes() == weights.tobytes()
+    assert fc.intercepts.tobytes() == intercepts.tobytes()
+
+
+def test_fit_logs_each_channel_fitted_once_under_rapid_thread_switches(caplog):
+    series = np.random.default_rng(4).standard_normal((200, 7))
+    weights, intercepts = _serial_fit(series, 12, 6, 1e-3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # a lost or doubled take of the shared counter shows here
+    try:
+        for _ in range(20):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="smoothtta.backbones"):
+                fc = fit_linear_backbone(series, lookback=12, horizon=6)
+            (record,) = [r for r in caplog.records if r.name == "smoothtta.backbones"]
+            assert record.levelno == logging.INFO
+            seconds, mine, theirs = record.args  # wall time, then each thread's channels
+            assert seconds >= 0.0
+            assert sorted(mine + theirs) == list(range(7))
+            assert fc.weights.tobytes() == weights.tobytes()
+            assert fc.intercepts.tobytes() == intercepts.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_an_error_in_the_helpers_channel_reaches_the_caller_unchanged(monkeypatch):
+    error = np.linalg.LinAlgError("the helper's channel is singular")
+    helper_failed, waited = threading.Event(), []
+    solve = np.linalg.solve
+
+    def solve_failing_on_the_helper(a, b):
+        if threading.current_thread() is not threading.main_thread():
+            helper_failed.set()
+            raise error
+        if not waited:  # the caller's first channel waits for the helper's
+            waited.append(helper_failed.wait(timeout=10))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve_failing_on_the_helper)
+    series = np.random.default_rng(5).standard_normal((120, 7))
+    with pytest.raises(np.linalg.LinAlgError) as info:
+        fit_linear_backbone(series, lookback=8, horizon=4)
+    assert info.value is error
+    assert helper_failed.is_set()
+    assert not [t for t in threading.enumerate() if t.name.startswith("smoothtta-fit")]

@@ -1015,3 +1015,28 @@ def test_a_fuzzed_parameter_file_exits_2_or_3(workdir, capsys, artifact):
 
     property_()
     assert not (workdir / "run_fuzz").exists()
+
+
+def test_unrevealed_figures_reach_the_manifests_and_the_unpinned_summaries(workdir):
+    keys = ["mse_base_unrevealed", "mse_corrected_unrevealed", "improvement_unrevealed"]
+    # a 3-step prefix: the toy's period-8 FFT prefix would reveal all 8 steps
+    common = ["--data", "toy.csv", *COMMON, "--prefix", "3", "--backbone", "backbone.params",
+              "--decoder", "decoder.params", "--out-dir", "run_unrevealed"]
+    for command in (["rollout"], ["ablate"], ["contaminate", "--ratios", "0,0.1"],
+                    ["sweep", "--parameter", "memory_decay", "--grid", "0.5"],
+                    ["sparse-anchor", "--ratios", "0.5", "--support", "4", "--eval", "5:8"]):
+        res = _run([*command, *common], cwd=workdir)
+        assert res.returncode == 0, res.stderr
+        if command == ["rollout"]:
+            assert "(unrevealed steps: " in res.stdout
+    out = workdir / "run_unrevealed"
+    for summary in ("ablate/summary.csv", "sweep/sweep.csv", "sparse-anchor/summary.csv"):
+        assert (out / summary).read_text().splitlines()[0].split(",")[-3:] == keys
+    assert "unrevealed" not in (out / "contaminate/contamination.csv").read_text()
+    manifests = sorted(out.rglob("manifest*.json"))
+    assert len(manifests) == 10  # rollout, 6 variants, 2 ratios, 1 grid point, 1 anchor ratio
+    for manifest in manifests:
+        aggregates = json.loads(manifest.read_text())["aggregates"]
+        assert all(np.isfinite(aggregates[key]) for key in keys)
+        metrics = manifest.with_name(manifest.name.replace("manifest", "metrics")).with_suffix(".csv")
+        assert "unrevealed" not in metrics.read_text().splitlines()[0]

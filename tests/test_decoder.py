@@ -695,3 +695,104 @@ def test_training_holds_one_w1_layout(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= bound, f"peak {peak / p.W1.nbytes:.2f} W1, bound {bound / p.W1.nbytes:.2f} W1"
+
+
+def _old_gradient_check(params, features, target, local_field, gate, step=1e-4,
+                        max_coords=200, seed=0):
+    """`gradient_check` as it was, holding a probe chunk's error terms and their squares."""
+    features = np.atleast_2d(features)
+    target = np.atleast_2d(target)
+    local_field = np.atleast_2d(local_field)
+    _, analytic = _loss_and_grads(params, features, target, local_field, gate)
+    W1, b1, W2, b2 = params.W1, params.b1, params.W2, params.b2
+    hidden, width = W1.shape
+    gain = params.output_scale * np.broadcast_to(gate, b2.shape)
+    offsets = np.cumsum([0, W1.size, b1.size, W2.size, b2.size])
+    rng = np.random.default_rng(seed)
+    if offsets[-1] > max_coords:
+        coords = rng.choice(int(offsets[-1]), size=max_coords, replace=False)
+    else:
+        coords = np.arange(offsets[-1])
+    block = np.searchsorted(offsets, coords, side="right") - 1
+    idx = coords - offsets[block]
+    exact = np.empty(coords.size)
+    for b, name in enumerate(("W1", "b1", "W2", "b2")):
+        exact[block == b] = analytic[name].ravel()[idx[block == b]]
+    z = features @ W1.T + b1
+    t = np.tanh(z)
+    err = local_field + gate * (params.output_scale * (t @ W2.T + b2)) - target
+    moves = np.array([step, -step])[:, None, None]
+    numeric = np.empty(coords.size)
+    probes = np.flatnonzero(block < 2)
+    unit = np.where(block == 0, idx // width, idx)
+    slope = np.where(block == 0, features[:, idx % width], 1.0)
+    chunk = max(1, dec._PROBE_CHUNK_BYTES // (16 * err.size))
+    for lo in range(0, probes.size, chunk):
+        p = probes[lo : lo + chunk]
+        u = unit[p]
+        dt = np.tanh(z[:, u] + moves * slope[:, p]) - t[:, u]
+        moved = err[:, None] + dt[..., None] * (gain * W2[:, u].T)
+        losses = np.mean(moved**2, axis=(1, 3))
+        numeric[p] = (losses[0] - losses[1]) / (2.0 * step)
+    p = np.flatnonzero(block >= 2)
+    s = np.where(block == 2, idx // hidden, idx)[p]
+    slope = np.where(block == 2, t[:, idx % hidden], 1.0)[:, p] * gain[s]
+    col_sq = np.sum(err**2, axis=0)
+    moved = err[:, s] + moves * slope
+    losses = (np.sum(col_sq) - col_sq[s] + np.sum(moved**2, axis=1)) / err.size
+    numeric[p] = (losses[0] - losses[1]) / (2.0 * step)
+    rel = np.abs(exact - numeric) / np.maximum(np.abs(exact) + np.abs(numeric), 1e-6)
+    return float(np.max(np.nan_to_num(rel, nan=np.inf), initial=0.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    horizon=st.integers(1, 40),
+    context=st.integers(1, 4),
+    hidden=st.integers(1, 24),
+    scale=st.sampled_from([0.5, 1.5]),
+    zero_cols=st.floats(0.0, 0.9),
+    max_coords=st.sampled_from([5, 200, 10**6]),
+    chunk_bytes=st.sampled_from([1, 4096, 2 << 20]),
+    seed=st.integers(0, 2**16),
+)
+def test_gradient_check_squares_in_place_with_the_same_bits(
+    horizon, context, hidden, scale, zero_cols, max_coords, chunk_bytes, seed
+):
+    # the gate's samples: one feature row, its target and local field, the fusion gate
+    rng = np.random.default_rng(seed)
+    params = init_params(horizon=horizon, context_size=context, hidden=hidden,
+                         output_scale=scale, seed=seed)
+    features = rng.standard_normal((1, 5 * horizon + 2 * context))
+    features[:, rng.random(features.shape[1]) < zero_cols] = 0.0
+    target, local = rng.standard_normal(horizon), rng.standard_normal(horizon)
+    gate = rng.uniform(0.0, 1.0, horizon)
+    with mock.patch.object(dec, "_PROBE_CHUNK_BYTES", chunk_bytes):
+        new = gradient_check(params, features, target, local, gate, max_coords=max_coords,
+                             seed=seed)
+        old = _old_gradient_check(params, features, target, local, gate, max_coords=max_coords,
+                                  seed=seed)
+    assert np.float64(new).tobytes() == np.float64(old).tobytes()
+
+
+def test_gradient_check_holds_one_probe_chunk_of_error_terms():
+    # one H=360 row at hidden width 8, the gate's sample shape in the fit memory test:
+    # 164 of the 200 probes are hidden-layer ones, whose error terms fill 0.94 MB
+    horizon, context = 360, 8
+    params = init_params(horizon=horizon, context_size=context, hidden=8, output_scale=1.5,
+                         seed=0)
+    rng = np.random.default_rng(0)
+    sample = (params, rng.standard_normal(5 * horizon + 2 * context),
+              rng.standard_normal(horizon), rng.standard_normal(horizon),
+              np.linspace(0.0, 1.0, horizon))
+    gradient_check(*sample, seed=3)  # warm: nothing first-call-only is counted
+    coords = np.random.default_rng(3).choice(params.count(), size=200, replace=False)
+    moved_bytes = 16 * horizon * int(np.sum(coords < params.W1.size + params.b1.size))
+    tracemalloc.start()
+    try:
+        gradient_check(*sample, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the parent held the terms and their squares at once and peaked at 2.25 times them
+    assert peak < 1.4 * moved_bytes, (peak, moved_bytes)

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from unittest import mock
 from pathlib import Path
 
 import numpy as np
@@ -830,3 +831,63 @@ def test_readme_none_sentence_names_every_nullable_key():
     readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
     sentence = readme.split("`none` (or an empty value) resets only", 1)[1].split(".", 1)[0]
     assert re.findall(r"`(\w+)`", sentence) == list(_NULLABLE)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    horizon=st.integers(2, 24),
+    channels=st.integers(1, 3),
+    revealed=st.integers(0, 30),
+    windows=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+)
+def test_a_correction_zero_off_the_mask_keeps_the_unrevealed_error(
+    horizon, channels, revealed, windows, seed
+):
+    fx = biased_oracle_fixture(horizon=horizon, lookback=16, channels=channels,
+                               n_test_windows=windows, period=4, seed=seed)
+    cfg = copy.deepcopy(fx.config)
+    cfg.prefix = revealed % horizon  # a fixed prefix of 0..H-1 steps
+    real_fuse = rollout_module.fuse
+
+    def fuse_on_the_mask_only(local, global_field, schedule):
+        delta = np.array(real_fuse(local, global_field, schedule))
+        delta[:, cfg.prefix :] = 0.0
+        return delta
+
+    with mock.patch.object(rollout_module, "fuse", fuse_on_the_mask_only):
+        report = rollout(fx.backbone, fx.dataset, cfg, None)
+    agg = report.aggregate()
+    assert agg["mse_corrected_unrevealed"] == agg["mse_base_unrevealed"]
+    assert agg["improvement_unrevealed"] == 0.0
+    # pooled over every window's steps past its prefix, not averaged per window
+    errors = np.stack([fx.dataset.values[t : t + horizon] - fx.backbone.predict(None, start=t)
+                       for t in (row["start"] for row in report.rows)])
+    lengths = np.array([row["prefix_length"] for row in report.rows])
+    hidden = np.arange(horizon) >= lengths[:, None]
+    assert agg["mse_base_unrevealed"] == pytest.approx(np.mean(errors[hidden] ** 2), rel=1e-12)
+
+
+def test_unrevealed_figures_reach_the_manifest_but_no_metrics_column(small_fixture, tmp_path):
+    fx = small_fixture
+    cfg = copy.deepcopy(fx.config)
+    cfg.prefix = 5
+    report = rollout(fx.backbone, fx.dataset, cfg, None)
+    write_manifest(report, tmp_path / "manifest.json")
+    write_metrics_csv(report, tmp_path / "metrics.csv")
+    aggregates = json.loads((tmp_path / "manifest.json").read_text())["aggregates"]
+    for key in ("mse_base_unrevealed", "mse_corrected_unrevealed", "improvement_unrevealed"):
+        assert np.isfinite(aggregates[key])
+        assert key not in (tmp_path / "metrics.csv").read_text()
+    assert report.unrevealed.shape == (report.n_windows, 3)
+    assert (report.unrevealed[:, 2] == (fx.config.horizon - 5) * fx.dataset.channels).all()
+
+
+def test_unrevealed_figures_are_nan_when_every_step_is_revealed(small_fixture):
+    fx = small_fixture
+    cfg = copy.deepcopy(fx.config)
+    cfg.prefix = cfg.horizon
+    agg = rollout(fx.backbone, fx.dataset, cfg, None).aggregate()
+    assert agg["mse_base"] > 0
+    assert all(np.isnan(agg[key]) for key in
+               ("mse_base_unrevealed", "mse_corrected_unrevealed", "improvement_unrevealed"))
