@@ -149,18 +149,20 @@ def load_csv(path, policy: str = "drop-row", name: str | None = None) -> Dataset
             values[row] = [_cell(c) for c in line.split(",")[lead:]]  # None -> NaN
     gaps = ~np.isfinite(values)
     missing = gaps.any(axis=1)
-    if policy == "drop-row":
-        keep, reason = ~missing, "dropping row with missing values"
-    else:  # fill from the first complete row on
-        keep = np.cumsum(~missing) > 0
-        reason = "dropping leading row, nothing to fill from"
-    for row in np.flatnonzero(~keep).tolist():
-        logger.warning("%s:%d: %s", path, row + first_line, reason)
-    if not keep.any():
-        raise DataError(f"{path}: every row was dropped")
-    values, gaps = values[keep], gaps[keep]
-    source = np.where(gaps, 0, np.arange(len(values))[:, None])  # last row with a value
-    values = values[np.maximum.accumulate(source, axis=0), np.arange(n_channels)]
+    if missing.any():  # a clean file keeps every row as parsed
+        if policy == "drop-row":
+            keep, reason = ~missing, "dropping row with missing values"
+        else:  # fill from the first complete row on
+            keep = np.cumsum(~missing) > 0
+            reason = "dropping leading row, nothing to fill from"
+        for row in np.flatnonzero(~keep).tolist():
+            logger.warning("%s:%d: %s", path, row + first_line, reason)
+        if not keep.any():
+            raise DataError(f"{path}: every row was dropped")
+        values, gaps = values[keep], gaps[keep]
+        source = np.where(gaps, 0, np.arange(len(values))[:, None])  # last row with a value
+        values = values[np.maximum.accumulate(source, axis=0), np.arange(n_channels)]
+        stamps = [t for t, k in zip(stamps, keep) if k]
     names = (
         header[1:] if (header and has_timestamp) else header
     ) or [f"ch{j}" for j in range(n_channels)]
@@ -168,7 +170,7 @@ def load_csv(path, policy: str = "drop-row", name: str | None = None) -> Dataset
         name=name or str(path),
         values=values,
         channel_names=list(names),
-        timestamps=[t for t, k in zip(stamps, keep) if k] if has_timestamp else None,
+        timestamps=stamps if has_timestamp else None,
     )
 
 

@@ -11,7 +11,13 @@ Training reads dense `build_features` rows, or a `FeatureStore` of each field
 stored once, through `feature_rows`. It fits only the W1 columns with a
 nonzero feature in some training row; the other columns meet only zero
 features, carry no signal, and are zero in the trained decoder. AdamW updates
-the weights in place, in blocks of `_ADAM_BLOCK` (32768) entries. Training's
+the weights in place, in blocks of `_ADAM_BLOCK` (32768) entries, on the
+calling thread and one helper thread, which also computes each step's
+output-layer gradient; a helper task that has not started when the caller
+needs it is taken back and run by the caller. The gradient-norm clip is
+decided from one BLAS dot per gradient unless that sum reaches the clip's
+square less its rounding margin, so no step computes an exact norm it does
+not need. Every weight keeps the bits of a one-thread, exact-norm run. Training's
 settings are module constants, not arguments: AdamW's `_LEARNING_RATE`,
 `_WEIGHT_DECAY` and gradient-norm clip `_GRAD_CLIP`, its budget of `_EPOCHS`
 epochs of at most `_MAX_BATCHES` batches, and the gradient gate's
@@ -27,8 +33,10 @@ decoder that reads neither.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -358,12 +366,23 @@ def decode(
     return decode_batch(params, *(np.asarray(x, dtype=float)[None] for x in inputs))[0]
 
 
+def _output_grads(dpre: np.ndarray, t: np.ndarray, W2: np.ndarray, b2: np.ndarray) -> None:
+    """The output layer's gradients `dpre.T @ t` and `dpre.sum(axis=0)`, into W2 and b2."""
+    np.matmul(dpre.T, t, out=W2)
+    np.sum(dpre, axis=0, out=b2)
+
+
+def _inline_output_grads(dpre: np.ndarray, t: np.ndarray):
+    return lambda: (dpre.T @ t, dpre.sum(axis=0))
+
+
 def _loss_and_grads(
     params: DecoderParams,
     features: np.ndarray,
     targets: np.ndarray,
     local_fields: np.ndarray,
     gate: np.ndarray,
+    output_layer=_inline_output_grads,
 ):
     """Fused-objective MSE and analytic parameter gradients.
 
@@ -372,21 +391,41 @@ def _loss_and_grads(
     fusion stage applies (minus the clip, which would kill gradients).
     `params` may be any object with the W1, b1, W2, b2 and output_scale
     attributes of `DecoderParams`; training passes its live weight arrays.
+    `output_layer(dpre, t)` starts the output layer's gradients and returns a
+    call that gives them, (W2, b2), once W1's and b1's are computed; training
+    starts them on its helper thread. The gradients are keyed W2, b2, W1, b1.
     """
-    n = features.shape[0]
     out, (f, t) = _forward(params, features)
     err = local_fields + gate * out - targets
     loss = float(np.mean(err**2))
     dout = (2.0 / err.size) * gate * err
     dpre = params.output_scale * dout
-    grads = {
-        "W2": dpre.T @ t,
-        "b2": dpre.sum(axis=0),
-    }
+    output = output_layer(dpre, t)
     dz1 = (dpre @ params.W2) * (1.0 - t**2)
-    grads["W1"] = dz1.T @ f
-    grads["b1"] = dz1.sum(axis=0)
-    return loss, grads
+    W1, b1 = dz1.T @ f, dz1.sum(axis=0)
+    W2, b2 = output()
+    return loss, {"W2": W2, "b2": b2, "W1": W1, "b1": b1}
+
+
+def _clip_scale(grads: dict[str, np.ndarray]) -> float:
+    """`_GRAD_CLIP / norm` when the gradients' global norm exceeds `_GRAD_CLIP`, else 1.0.
+
+    The squared norm is bounded first by one BLAS dot per gradient: a sum of
+    n squares, summed in any order, is within n * 2**-53 of the exact sum
+    (relative, to first order), and so is the pairwise `np.sum(np.square(g))`
+    the norm is computed with. Below `(1 - margin) * _GRAD_CLIP**2`, with a
+    margin that covers both errors and the few roundings of the comparison,
+    the norm cannot exceed `_GRAD_CLIP`, so the scale is 1.0 without the
+    norm; otherwise the norm is computed as before, so the scale keeps its
+    bits. A NaN or inf gradient fails the bound.
+    """
+    k = sum(g.size for g in grads.values()) + 4  # squares, plus the sums across gradients
+    u = 2.0**-53
+    margin = 3 * k * u / (1 - k * u) if k * u < 0.25 else 1.0
+    if sum(float(np.vdot(g, g)) for g in grads.values()) < (1 - margin) * _GRAD_CLIP**2:
+        return 1.0
+    norm = np.sqrt(sum(float(np.sum(np.square(g))) for g in grads.values()))
+    return _GRAD_CLIP / norm if norm > _GRAD_CLIP else 1.0
 
 
 def gradient_check(
@@ -507,12 +546,26 @@ def train_decoder(
     gradients and AdamW run on a row-major copy of those columns and on each
     batch's used features. The other columns meet only zero features, so they
     move no loss and no other gradient; the trained decoder holds +0.0 in
-    them. AdamW runs in place over
-    blocks of `_ADAM_BLOCK` = 32768 entries with two block-sized scratch
-    buffers, and its state is freed before the frozen copy is built.
+    them.
+
+    The optimizer runs on the calling thread and one helper thread (a
+    one-worker `ThreadPoolExecutor`). While the caller back-propagates to W1,
+    the helper computes the output layer's gradients into buffers allocated
+    once; then both threads update AdamW blocks of `_ADAM_BLOCK` = 32768
+    entries, each taking the next block from one shared counter and using
+    its own pair of block-sized scratch buffers. Every block and every
+    product is computed whole by one thread, as on one thread, so the
+    weights keep their bits. A helper task that has not started when the
+    caller needs its result is cancelled and run by the caller ("taken
+    back"), so a descheduled helper costs at most the block it holds. The
+    clip factor comes from `_clip_scale`. The moments, gradients, scratch
+    buffers and the helper are freed before the frozen copy is built.
+
     Logs one INFO event on this module's logger with the gate's worst
-    relative error, the number of samples it checked, and the wall times of
-    the gate and the optimizer.
+    relative error, the number of samples it checked, the wall times of the
+    gate and the optimizer, and the helper's counts: the AdamW blocks and
+    output-layer gradients it computed and the tasks taken back from it
+    (also the record's `helper_blocks`, `helper_gradients` and `taken_back`).
     """
     n = features.shape[0]
     if n == 0:
@@ -533,77 +586,127 @@ def train_decoder(
     checked = time.perf_counter()
 
     used = features.any(axis=0)  # W1 columns with a nonzero feature in some row
-    # a boolean column index returns a column-major copy; AdamW and the products want
-    # row-major. W1 comes first, so the views AdamW's loop leaves behind are b2's.
+    # a boolean column index returns a column-major copy; AdamW and the products want row-major
     weights = {"W1": np.ascontiguousarray(params.W1[:, used])}
     weights |= {name: np.array(getattr(params, name)) for name in _BLOCKS[1:]}
     shape = {k: getattr(params, k)
              for k in ("horizon", "context_size", "hidden", "output_scale", "seed")}
     del params  # frees the initial W1 and W2 unless the caller holds them
-    live = SimpleNamespace(output_scale=shape["output_scale"], **weights)  # updated in place
-    m = {k: np.zeros_like(w) for k, w in weights.items()}
-    v = {k: np.zeros_like(w) for k, w in weights.items()}
-    scratch = [np.empty(_ADAM_BLOCK) for _ in range(2)]
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    step = 0
-    trace: list[float] = []
-
-    # Each step evaluates, in place and in this operation order,
-    #   m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g**2
-    #   w = w - lr * ((m / bc1) / (sqrt(v / bc2) + eps) + wd * w)
-    # element-wise over blocks, so it rounds like that expression written out of place.
-    batch_size = max(1, -(-n // _MAX_BATCHES))  # ceil: covers the set in <= _MAX_BATCHES
-    for _ in range(_EPOCHS):
-        order = rng.permutation(n)
-        epoch_losses = []
-        for start in range(0, n, batch_size):
-            take = order[start : start + batch_size]
-            batch = feature_rows(features, take, used)
-            loss, grads = _loss_and_grads(live, batch, targets[take], local_fields[take], gate)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(trace + [loss])
-            epoch_losses.append(loss)
-
-            norm = np.sqrt(sum(float(np.sum(np.square(g))) for g in grads.values()))
-            scale = _GRAD_CLIP / norm if norm > _GRAD_CLIP else 1.0
-
-            step += 1
-            bc1 = 1.0 - beta1**step
-            bc2 = 1.0 - beta2**step
-            for name, w in weights.items():
-                flat = [x.reshape(-1) for x in (w, grads[name], m[name], v[name])]  # views
-                for lo in range(0, w.size, _ADAM_BLOCK):
-                    wb, g, mk, vk = (x[lo : lo + _ADAM_BLOCK] for x in flat)
-                    a, b = (buf[: wb.size] for buf in scratch)
-                    if scale != 1.0:
-                        g *= scale
-                    np.multiply(g, 1 - beta1, out=a)
-                    mk *= beta1
-                    mk += a
-                    np.square(g, out=a)
-                    a *= 1 - beta2
-                    vk *= beta2
-                    vk += a
-                    np.divide(vk, bc2, out=a)
-                    np.sqrt(a, out=a)
-                    a += eps
-                    np.divide(mk, bc1, out=b)
-                    b /= a
-                    np.multiply(wb, _WEIGHT_DECAY, out=a)
-                    a += b
-                    a *= _LEARNING_RATE
-                    wb -= a
-        trace.append(float(np.mean(epoch_losses)))
-    live = m = v = grads = None  # free the optimizer state before the frozen copy
+    step, trace, helper = _optimize(weights, shape["output_scale"], features, targets, local_fields,
+                                    gate, used, rng)
     W1 = np.zeros((shape["hidden"], used.size))
     W1[:, used] = weights.pop("W1")
     trained = DecoderParams(**shape, W1=W1, **weights)
     logger.info(
         "decoder trained: gradient gate max relative error %.3e over %d samples in %.3f s, "
-        "optimizer %d steps in %.3f s",
-        worst, n_check, checked - started, step, time.perf_counter() - checked,
+        "optimizer %d steps in %.3f s; the helper thread computed "  # record.args stay five
+        f"{helper['helper_blocks']} AdamW blocks and {helper['helper_gradients']} output-layer "
+        f"gradients, {helper['taken_back']} of its tasks were taken back",
+        worst, n_check, checked - started, step, time.perf_counter() - checked, extra=helper,
     )
     return trained, trace
+
+
+def _optimize(weights, output_scale, features, targets, local_fields, gate, used, rng):
+    """`train_decoder`'s AdamW loop over the live `weights`, which it updates in place.
+
+    Returns the step count, the per-epoch loss trace and the helper thread's
+    counts (`helper_blocks`, `helper_gradients`, `taken_back`). The moments,
+    the gradients, the scratch and the helper thread are gone once it returns.
+    """
+    n = features.shape[0]
+    live = SimpleNamespace(output_scale=output_scale, **weights)
+    m = {k: np.zeros_like(w) for k, w in weights.items()}
+    v = {k: np.zeros_like(w) for k, w in weights.items()}
+    output = {k: np.empty_like(weights[k]) for k in ("W2", "b2")}  # the helper's gradients
+    jobs = [(k, lo) for k, w in weights.items() for lo in range(0, w.size, _ADAM_BLOCK)]
+    scratch = [[np.empty(_ADAM_BLOCK) for _ in range(2)] for _ in range(2)]  # one pair a thread
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    counts = dict.fromkeys(("helper_blocks", "helper_gradients", "taken_back"), 0)
+    trace: list[float] = []
+    step = 0
+
+    # Each step evaluates, in place and in this operation order,
+    #   m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g**2
+    #   w = w - lr * ((m / bc1) / (sqrt(v / bc2) + eps) + wd * w)
+    # element-wise over blocks, so it rounds like that expression written out of place.
+    def adamw(taken, grads, scale, bc1, bc2, pair) -> int:
+        """Update the blocks whose job numbers it takes from `taken`; returns their count."""
+        done = 0
+        while (j := next(taken)) < len(jobs):  # next() on a count is atomic
+            name, lo = jobs[j]
+            wb, g, mk, vk = (x.reshape(-1)[lo : lo + _ADAM_BLOCK]
+                             for x in (weights[name], grads[name], m[name], v[name]))
+            a, b = (buf[: wb.size] for buf in pair)
+            if scale != 1.0:
+                g *= scale
+            np.multiply(g, 1 - beta1, out=a)
+            mk *= beta1
+            mk += a
+            np.square(g, out=a)
+            a *= 1 - beta2
+            vk *= beta2
+            vk += a
+            np.divide(vk, bc2, out=a)
+            np.sqrt(a, out=a)
+            a += eps
+            np.divide(mk, bc1, out=b)
+            b /= a
+            np.multiply(wb, _WEIGHT_DECAY, out=a)
+            a += b
+            a *= _LEARNING_RATE
+            wb -= a
+            done += 1
+        return done
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="smoothtta-train") as pool:
+
+        def on_helper(fn, *args):
+            """Start fn(*args) on the helper; the call returned gives (its result, True).
+
+            If the helper has not started it by then, the call cancels it and
+            runs it on the calling thread instead, giving (result, False).
+            """
+            task = pool.submit(fn, *args)
+
+            def join():
+                if task.cancel():
+                    counts["taken_back"] += 1
+                    return fn(*args), False
+                return task.result(), True
+
+            return join
+
+        def output_layer(dpre, t):
+            join = on_helper(_output_grads, dpre, t, output["W2"], output["b2"])
+
+            def gradients():
+                counts["helper_gradients"] += join()[1]
+                return output["W2"], output["b2"]
+
+            return gradients
+
+        batch_size = max(1, -(-n // _MAX_BATCHES))  # ceil: covers the set in <= _MAX_BATCHES
+        for _ in range(_EPOCHS):
+            order = rng.permutation(n)
+            epoch_losses = []
+            for start in range(0, n, batch_size):
+                take = order[start : start + batch_size]
+                batch = feature_rows(features, take, used)
+                loss, grads = _loss_and_grads(live, batch, targets[take], local_fields[take], gate,
+                                              output_layer)
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(trace + [loss])
+                epoch_losses.append(loss)
+                step += 1
+                args = (itertools.count(), grads, _clip_scale(grads),
+                        1.0 - beta1**step, 1.0 - beta2**step)
+                join = on_helper(adamw, *args, scratch[1])
+                adamw(*args, scratch[0])
+                blocks, helped = join()  # taken back, it finds no block left
+                counts["helper_blocks"] += blocks if helped else 0
+            trace.append(float(np.mean(epoch_losses)))
+    return step, trace, counts
 
 
 def save_params(params: DecoderParams, path, channels: int | None = None) -> None:

@@ -312,3 +312,50 @@ def test_load_csv_peaks_no_higher_than_the_cell_by_cell_loader(tmp_path):
     lines += [f"t{i:06d}," + ",".join(f"{v:.6f}" for v in row) for i, row in enumerate(values)]
     path = _write(tmp_path, "\n".join(lines) + "\n")
     assert _traced_peak(load_csv, path) <= _traced_peak(_old_load_csv, path)
+
+
+_GAPS = ["", " ", "nan", "inf", "-inf", "x"]
+
+
+@st.composite
+def _numeric_csv_texts(draw):
+    """Small CSVs of numbers; with `gaps`, some cells are empty, non-finite or text."""
+    channels = draw(st.integers(1, 4))
+    stamp = draw(st.booleans())
+    gaps = draw(st.booleans())
+    number = st.one_of(_NUMBERS.map(repr), st.integers(-999, 999).map(str))
+    cell = st.one_of(number, st.sampled_from(_GAPS)) if gaps else number
+    lines = [",".join(["date"] * stamp + [f"c{j}" for j in range(channels)])]
+    for i in range(draw(st.integers(1, 8))):
+        lines.append(",".join([f"t{i}"] * stamp + draw(st.lists(cell, min_size=channels,
+                                                                max_size=channels))))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_numeric_csv_texts(), policy=st.sampled_from(["drop-row", "forward-fill"]))
+def test_a_clean_file_skips_the_gap_fill_with_the_same_outcome(text, policy):
+    # the same values, names, timestamps, warnings and errors as the loader that fills
+    # and gathers every file, whether or not a cell is missing
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_text(text)
+        assert _outcome(load_csv, path, policy) == _outcome(_old_load_csv, path, policy)
+
+
+def _read_lines(path):
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    return [line for line in lines if line.strip()]
+
+
+def test_a_clean_file_peaks_at_its_lines_and_two_value_arrays(tmp_path):
+    # the 10,000-row, 7-channel stream above: reading and splitting its lines peaks
+    # at 2.19 MB. The gap fill built three (T, d) arrays beside the parsed values and
+    # its kept-row copy, and peaked at 4.59 MB; a clean file now skips it (2.90 MB).
+    values = np.random.default_rng(0).standard_normal((10_000, 7)).cumsum(axis=0)
+    lines = ["date," + ",".join(f"c{j}" for j in range(7))]
+    lines += [f"t{i:06d}," + ",".join(f"{v:.6f}" for v in row) for i, row in enumerate(values)]
+    path = _write(tmp_path, "\n".join(lines) + "\n")
+    bound = _traced_peak(_read_lines, path) + 2 * values.nbytes
+    assert _traced_peak(load_csv, path) <= bound

@@ -1,5 +1,7 @@
 import re
+import sys
 import tracemalloc
+from concurrent.futures import Future
 from dataclasses import replace
 from unittest import mock
 
@@ -796,3 +798,182 @@ def test_gradient_check_holds_one_probe_chunk_of_error_terms():
         tracemalloc.stop()
     # the parent held the terms and their squares at once and peaked at 2.25 times them
     assert peak < 1.4 * moved_bytes, (peak, moved_bytes)
+
+
+# --- the optimizer's helper thread and the clip bound ---
+
+
+class _NeverStarts:
+    """An executor whose tasks never start: every one is left for the caller to take back."""
+
+    def __init__(self, *args, **kwargs):
+        self.submitted = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args, **kwargs):
+        self.submitted += 1
+        return Future()
+
+
+def _training_event(caplog, *args, **kwargs):
+    with caplog.at_level("INFO", logger="smoothtta.decoder"):
+        trained, trace = train_decoder(*args, **kwargs)
+    (record,) = [r for r in caplog.records if r.name == "smoothtta.decoder"]
+    caplog.clear()
+    return trained, trace, record
+
+
+def test_a_helper_that_never_starts_leaves_the_caller_all_the_work(caplog, monkeypatch):
+    # every helper task is taken back; the weights keep the bits of the two-thread
+    # run and of the reference, and no thread outlives the call (conftest)
+    monkeypatch.setattr(dec, "_EPOCHS", 2)
+    monkeypatch.setattr(dec, "_ADAM_BLOCK", 100)  # W1 alone spans several blocks
+    p, feats, target, local, gate = _training_set(n=40, d_seed=6)
+    both, both_trace, _ = _training_event(caplog, p, feats, target, local, gate, seed=2)
+    monkeypatch.setattr(dec, "ThreadPoolExecutor", _NeverStarts)
+    alone, alone_trace, record = _training_event(caplog, p, feats, target, local, gate, seed=2)
+    expected, expected_trace = reference.adamw(p, feats, target, local, gate, seed=2)
+    assert alone.digest() == both.digest() == expected.digest()
+    assert alone_trace == both_trace == expected_trace
+    steps = record.args[3]
+    assert (record.helper_blocks, record.helper_gradients, record.taken_back) == (0, 0, 2 * steps)
+    assert f"{2 * steps} of its tasks were taken back" in record.getMessage()
+
+
+def test_training_keeps_its_bits_under_rapid_thread_switches(monkeypatch):
+    # a lost or doubled take of the shared block counter, or a block updated by both
+    # threads, changes the weights
+    monkeypatch.setattr(dec, "_EPOCHS", 2)
+    monkeypatch.setattr(dec, "_ADAM_BLOCK", 16)
+    p, feats, target, local, gate = _training_set(n=40, d_seed=8)
+    expected, expected_trace = reference.adamw(p, feats, target, local, gate, seed=3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            trained, trace = train_decoder(p, feats, target, local, gate, seed=3)
+            assert trained.digest() == expected.digest()
+            assert trace == expected_trace
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_training_event_counts_the_helpers_work(caplog, monkeypatch):
+    monkeypatch.setattr(dec, "_EPOCHS", 2)
+    monkeypatch.setattr(dec, "_ADAM_BLOCK", 64)
+    p, feats, target, local, gate = _training_set()
+    _, _, record = _training_event(caplog, p, feats, target, local, gate)
+    steps = record.args[3]
+    blocks_per_step = sum(-(-a.size // 64) for a in (p.W1, p.b1, p.W2, p.b2))
+    # each step hands the helper one output-layer gradient and one AdamW task
+    assert record.helper_gradients <= steps and record.taken_back <= 2 * steps
+    assert record.helper_gradients + record.taken_back >= steps
+    assert 0 <= record.helper_blocks <= steps * blocks_per_step
+    message = record.getMessage()
+    assert (f"computed {record.helper_blocks} AdamW blocks and {record.helper_gradients} "
+            "output-layer gradients") in message
+
+
+def _norm(grads):
+    """The global gradient norm, summed pairwise as the optimizer sums it."""
+    return np.sqrt(sum(float(np.sum(np.square(g))) for g in grads.values()))
+
+
+def _exact_scale(grads, clip):
+    """The clip factor as the optimizer computed it before the bound: from the exact norm."""
+    norm = _norm(grads)
+    return clip / norm if norm > clip else 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sizes=st.tuples(*(st.integers(1, 4000) for _ in range(4))),
+    clip=st.sampled_from([1.0, 1e-3, 7.25]),
+    side=st.sampled_from(["below", "at", "above"]),
+    further=st.integers(0, 3),
+    lost_bits=st.booleans(),
+    bad=st.sampled_from([None, None, np.nan, np.inf, -np.inf]),
+    seed=st.integers(0, 2**16),
+)
+def test_clip_bound_gives_the_exact_norms_scale(sizes, clip, side, further, lost_bits, bad,
+                                                seed):
+    # gradients whose exact norm lies just below, at or just above the clip: scaled
+    # to it, then nudged an ulp at a time until the norm is on the side asked for,
+    # then `further` ulps on. With `lost_bits`, W1 is one large entry and, every 32nd
+    # entry, a small one whose square is under half an ulp of the large one's: a
+    # BLAS dot that sums them in the large one's lane drops them all, the pairwise
+    # sum keeps them, and the two differ by many ulps at the clip.
+    rng = np.random.default_rng(seed)
+    grads = {k: rng.standard_normal(s) * rng.uniform(0.5, 2.0)
+             for k, s in zip(("W2", "b2", "W1", "b1"), sizes)}
+    if lost_bits:
+        grads = {k: np.zeros_like(g) for k, g in grads.items()}
+        grads["W1"] = np.zeros(32 * sizes[2])
+        grads["W1"][0] = 1.0
+        grads["W1"][32::32] = np.sqrt(0.45 * 2.0**-52)
+    norm = _norm(grads)
+    for g in grads.values():
+        g *= clip / norm
+    reached = {"below": lambda x: x < clip, "at": lambda x: x == clip, "above": lambda x: x > clip}
+
+    def nudge(outwards):  # every entry one ulp away from zero, or towards it
+        for g in grads.values():
+            g[...] = np.nextafter(g, np.copysign(np.inf if outwards else 0.0, g))
+
+    for _ in range(64):
+        if reached[side](_norm(grads)):
+            break
+        nudge(_norm(grads) < clip)
+    for _ in range(further if side != "at" else 0):
+        nudge(side == "above")
+    if bad is not None:
+        grads["W1"][rng.integers(sizes[2])] = bad
+    with mock.patch.object(dec, "_GRAD_CLIP", clip):
+        got = dec._clip_scale(grads)
+    assert np.float64(got).tobytes() == np.float64(_exact_scale(grads, clip)).tobytes()
+
+
+def test_clip_bound_takes_the_exact_norm_at_the_clip():
+    one = {"W2": np.array([[0.0]]), "b2": np.zeros(1), "W1": np.array([[1.0]]), "b1": np.zeros(1)}
+    assert dec._clip_scale(one) == 1.0
+    one["W1"][0, 0] = np.nextafter(1.0, 2.0)
+    assert dec._clip_scale(one) == 1.0 / np.nextafter(1.0, 2.0)
+    one["W1"][0, 0] = np.nextafter(1.0, 0.0)
+    assert dec._clip_scale(one) == 1.0
+
+
+def test_clipped_steps_match_the_reference_through_the_exact_norm(monkeypatch):
+    # a clip between the step norms: some steps clip and take the exact branch, some do not
+    p, feats, target, local, gate = _training_set(n=60, d_seed=7)
+    monkeypatch.setattr(dec, "_EPOCHS", 3)
+    scales = []
+    clip_scale = dec._clip_scale
+
+    def recording(grads):
+        scales.append(clip_scale(grads))
+        return scales[-1]
+
+    monkeypatch.setattr(dec, "_clip_scale", recording)
+    norms = []
+    with mock.patch.object(dec, "_GRAD_CLIP", np.inf):
+        original = dec._loss_and_grads
+
+        def norm_recording(*args, **kwargs):
+            loss, grads = original(*args, **kwargs)
+            norms.append(np.sqrt(sum(float(np.sum(np.square(g))) for g in grads.values())))
+            return loss, grads
+
+        with mock.patch.object(dec, "_loss_and_grads", norm_recording):
+            train_decoder(p, feats, target, local, gate, seed=1)
+    monkeypatch.setattr(dec, "_GRAD_CLIP", float(np.median(norms[len(norms) // 2 :])))
+    scales.clear()
+    trained, trace = train_decoder(p, feats, target, local, gate, seed=1)
+    expected, expected_trace = reference.adamw(p, feats, target, local, gate, seed=1)
+    assert min(scales) < 1.0 and max(scales) == 1.0
+    assert trained.digest() == expected.digest()
+    assert trace == expected_trace
