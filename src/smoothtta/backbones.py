@@ -10,7 +10,6 @@ lets the harness verify nothing moved during a rollout.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import logging
 import time
@@ -25,13 +24,6 @@ logger = logging.getLogger(__name__)
 
 class FitError(RuntimeError):
     """Insufficient data to fit the requested backbone."""
-
-
-def _digest_arrays(*arrays: np.ndarray) -> str:
-    md = hashlib.sha256()
-    for arr in arrays:
-        md.update(np.ascontiguousarray(arr, dtype=np.float64))  # the bytes of tobytes(), uncopied
-    return md.hexdigest()
 
 
 class LinearForecaster:
@@ -71,7 +63,7 @@ class LinearForecaster:
         return out
 
     def param_digest(self) -> str:
-        return _digest_arrays(self.weights, self.intercepts)
+        return paramio.digest(self.weights, self.intercepts)
 
 
 def predict_batch(backbone, X: np.ndarray, starts) -> np.ndarray:
@@ -166,7 +158,7 @@ class BiasedOracleForecaster:
         return self.reference[start : start + self.horizon] + self.bias
 
     def param_digest(self) -> str:
-        return _digest_arrays(self.bias)
+        return paramio.digest(self.bias)
 
 
 class NormalizationWrapper:

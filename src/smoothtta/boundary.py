@@ -251,10 +251,8 @@ def contaminate_prefix(
         raise InvalidRatioError(f"contamination ratio must be in [0, 1], got {ratio}")
     if boundary.is_empty() or ratio == 0.0:
         return boundary
-    a = boundary.length
     forecast = np.asarray(forecast, dtype=float)
     padded = contaminate_errors(
-        boundary.padded_error[None], forecast[None], [a], ratio, sigma, [rng_seed]
+        boundary.padded_error[None], forecast[None], [boundary.length], ratio, sigma, [rng_seed]
     )[0]
-    mask = (np.arange(boundary.horizon) < a).astype(float)
-    return PrefixBoundary(length=a, padded_error=padded, mask=mask)
+    return PrefixBoundary(length=boundary.length, padded_error=padded, mask=boundary.mask)

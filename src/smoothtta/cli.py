@@ -145,9 +145,8 @@ def _load_artifact(loader, path, what: str):
         raise ConfigError(f"bad {what} file {path!r}: {exc}") from exc
 
 
-def _prepare(args, need_decoder: bool = True):
-    """Dataset, frozen backbone, and (when needed and asked for) a trained decoder."""
-    cfg = _build_config(args)
+def _prepare(args, cfg: RolloutConfig, need_decoder: bool = True):
+    """Dataset, frozen backbone, and (when needed and asked for) a trained decoder for `cfg`."""
     ds = _load_dataset(args, cfg)
     if args.backbone:
         backbone = _load_artifact(bb.load_backbone, args.backbone, "backbone")
@@ -176,7 +175,7 @@ def _prepare(args, need_decoder: bool = True):
                                       f"{trained[:n]}, run asks for {asked[:n]}")
         else:
             decoder_params, _ = train_decoder_for(backbone, ds, cfg)
-    return cfg, ds, backbone, decoder_params
+    return ds, backbone, decoder_params
 
 
 def _out_dir(args, name: str) -> Path:
@@ -191,6 +190,17 @@ def _write_report(report, out: Path, suffix: str = "") -> None:
     write_manifest(report, out / f"manifest{suffix}.json")
 
 
+def _write_grid(out: Path, summary: str, runs) -> list[dict]:
+    """For each (suffix, report, row) of `runs`, `_write_report(report, out, "_" + suffix)`;
+    then the rows as the CSV `out / summary`. Returns the rows."""
+    rows = []
+    for suffix, report, row in runs:
+        _write_report(report, out, f"_{suffix}")
+        rows.append(row)
+    write_rows(rows, out / summary)
+    return rows
+
+
 def cmd_fit_backbone(args) -> int:
     cfg = _build_config(args)
     ds = _load_dataset(args, cfg)
@@ -201,7 +211,8 @@ def cmd_fit_backbone(args) -> int:
 
 
 def cmd_train_decoder(args) -> int:
-    cfg, ds, backbone, _ = _prepare(args, need_decoder=False)
+    cfg = _build_config(args)
+    ds, backbone, _ = _prepare(args, cfg, need_decoder=False)
     # looked up at call time, so a patched or traced builder runs; through importlib,
     # since the package binds the name `rollout` to the function
     build = importlib.import_module("smoothtta.rollout").build_decoder_training_set
@@ -215,30 +226,27 @@ def cmd_train_decoder(args) -> int:
 
 
 def cmd_rollout(args) -> int:
-    cfg, ds, backbone, decoder_params = _prepare(args)
+    cfg = _build_config(args)
+    ds, backbone, decoder_params = _prepare(args, cfg)
     report = rollout(backbone, ds, cfg, decoder_params)
     _write_report(report, _out_dir(args, "rollout"))
-    agg = report.aggregate()
     print(json.dumps(report.summary(), indent=2, sort_keys=True))
-    print(f"improvement over zero-shot: {agg.get('improvement', 0.0):+.2%} "
-          f"(unrevealed steps: {agg['improvement_unrevealed']:+.2%})")
+    print(f"improvement over zero-shot: {report.extra.get('improvement', 0.0):+.2%} "
+          f"(unrevealed steps: {report.extra['improvement_unrevealed']:+.2%})")
     return 0
 
 
 def cmd_ablate(args) -> int:
+    cfg = _build_config(args)
     # the fit would read the switches (global_mix 0 trains no decoder); each variant resets them
-    switched = [s for s in ABLATION_SWITCHES if getattr(_build_config(args).solver, s)]
+    switched = [s for s in ABLATION_SWITCHES if getattr(cfg.solver, s)]
     if switched:
         raise ConfigError(f"ablate runs each ablation switch itself; drop {', '.join(switched)}")
-    cfg, ds, backbone, decoder_params = _prepare(args)
+    ds, backbone, decoder_params = _prepare(args, cfg)
     reports = run_ablation(backbone, ds, cfg, decoder_params)
-    out = _out_dir(args, "ablate")
-    summary = []
-    for name, report in reports.items():
-        _write_report(report, out, f"_{name}")
-        summary.append(report.summary_row(variant=name))
-    write_rows(summary, out / "summary.csv")
-    print(json.dumps(summary, indent=2))
+    rows = _write_grid(_out_dir(args, "ablate"), "summary.csv", (
+        (name, rep, rep.summary_row(variant=name)) for name, rep in reports.items()))
+    print(json.dumps(rows, indent=2))
     return 0
 
 
@@ -263,15 +271,12 @@ def cmd_contaminate(args) -> int:
     ratios = _parse_ratios(args.ratios) if args.ratios else CONTAMINATION_RATIOS
     if 0 not in ratios or not any(ratios):
         raise ConfigError(f"--ratios must hold 0 and a nonzero ratio, got {args.ratios!r}")
-    cfg, ds, backbone, decoder_params = _prepare(args)
+    cfg = _build_config(args)
+    ds, backbone, decoder_params = _prepare(args, cfg)
     summary = run_contamination_grid(backbone, ds, cfg, decoder_params, ratios)
-    out = _out_dir(args, "contaminate")
-    rows = summary.table()
-    for row in rows:
-        row["degradation"] = summary.degradation
-    write_rows(rows, out / "contamination.csv")
-    for r, rep in summary.reports.items():
-        _write_report(rep, out, f"_ratio_{r:g}")
+    rows = _write_grid(_out_dir(args, "contaminate"), "contamination.csv", (
+        (f"ratio_{r:g}", summary.reports[r], {**row, "degradation": summary.degradation})
+        for r, row in zip(summary.ratios, summary.table())))
     print(json.dumps({"degradation": summary.degradation,
                       "zero_shot_identical": summary.zero_shot_identical,
                       "rows": rows}, indent=2))
@@ -295,7 +300,7 @@ def cmd_sparse_boundary(args) -> int:
         raise ConfigError("--k fixes the prefix; drop --prefix N and prefix=N")
     near = _parse_steps(args.near, cfg.horizon, "near")
     far = _parse_steps(args.far, cfg.horizon, "far")
-    cfg, ds, backbone, decoder_params = _prepare(args)
+    ds, backbone, decoder_params = _prepare(args, cfg)
     report = run_sparse_boundary(
         backbone, ds, cfg, decoder_params, k=args.k, near_steps=near, far_steps=far
     )
@@ -312,17 +317,11 @@ def cmd_sparse_anchor(args) -> int:
             f"--support {args.support} must lie inside the horizon {cfg.horizon}"
         )
     eval_steps = _parse_steps(args.eval, cfg.horizon, "eval")
-    cfg, ds, backbone, decoder_params = _prepare(args)
-    out = _out_dir(args, "sparse-anchor")
-    rows = []
-    for r in ratios:
-        report = run_sparse_anchor(
-            backbone, ds, cfg, decoder_params,
-            ratio=r, support=args.support, eval_steps=eval_steps,
-        )
-        _write_report(report, out, f"_ratio_{r:g}")
-        rows.append(report.summary_row(ratio=r))
-    write_rows(rows, out / "summary.csv")
+    ds, backbone, decoder_params = _prepare(args, cfg)
+    reports = (run_sparse_anchor(backbone, ds, cfg, decoder_params, ratio=r, support=args.support,
+                                 eval_steps=eval_steps) for r in ratios)  # one at a time
+    rows = _write_grid(_out_dir(args, "sparse-anchor"), "summary.csv", (
+        (f"ratio_{r:g}", rep, rep.summary_row(ratio=r)) for r, rep in zip(ratios, reports)))
     print(json.dumps(rows, indent=2))
     return 0
 
@@ -337,15 +336,12 @@ def cmd_sweep(args) -> int:
             sweep_config(cfg, args.parameter, value).validate()
         except ConfigError as exc:
             raise ConfigError(f"--grid {args.grid!r}: {exc}") from None
-    cfg, ds, backbone, decoder_params = _prepare(args)
+    ds, backbone, decoder_params = _prepare(args, cfg)
     reports = run_sweep(backbone, ds, cfg, decoder_params, args.parameter, grid)
-    out = _out_dir(args, "sweep")
     keys = ("mse_base", "mse_corrected", "mae_corrected", "improvement", *UNREVEALED_KEYS)
-    rows = []
-    for (value, report), name in zip(reports.items(), names):
-        _write_report(report, out, f"_{args.parameter}_{name}")
-        rows.append(report.summary_row(keys, parameter=args.parameter, value=value))
-    write_rows(rows, out / "sweep.csv")
+    rows = _write_grid(_out_dir(args, "sweep"), "sweep.csv", (
+        (f"{args.parameter}_{name}", rep, rep.summary_row(keys, parameter=args.parameter, value=v))
+        for (v, rep), name in zip(reports.items(), names)))
     print(json.dumps(rows, indent=2, default=str))
     return 0
 
@@ -359,7 +355,7 @@ def cmd_bench(args) -> int:
     horizons = _parse_list(args.horizons, int, "horizons")
     if min(horizons) < 2:
         raise ConfigError(f"--horizons entries must be >= 2, got {args.horizons!r}")
-    results = bench_latency(
+    rows = bench_latency(
         horizons=horizons,
         batch=args.batch,
         channels=args.channels,
@@ -367,20 +363,6 @@ def cmd_bench(args) -> int:
         repetitions=args.reps,
         seed=args.seed,
     )
-    rows = [
-        {
-            "horizon": r.horizon,
-            "ms_per_batch": r.ms_per_batch,
-            "ms_per_window": r.ms_per_window,
-            "windows_per_second": r.windows_per_second,
-            "variance": r.ms_per_batch_var,
-            "decoder_parameters": r.decoder_parameters,
-            "decoder_macs_per_window": r.decoder_macs_per_window,
-            "worker_busy_ms": r.worker_busy_ms,
-            "caller_busy_ms": r.caller_busy_ms,
-        }
-        for r in results
-    ]
     write_rows(rows, _out_dir(args, "bench") / "bench.csv")
     print(json.dumps(rows, indent=2))
     return 0

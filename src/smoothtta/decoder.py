@@ -157,12 +157,8 @@ class DecoderParams:
         return channels * per_channel + self.hidden * (span + 2 * K * self.reads_context)
 
     def digest(self) -> str:
-        import hashlib
-
-        md = hashlib.sha256()
-        for arr in (self.W1, self.b1, self.W2, self.b2):
-            md.update(np.ascontiguousarray(arr))  # the bytes of tobytes(), without copying them
-        return md.hexdigest()
+        """`paramio.digest` of W1, b1, W2 and b2, in that order."""
+        return paramio.digest(self.W1, self.b1, self.W2, self.b2)
 
 
 def init_params(

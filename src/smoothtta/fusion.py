@@ -46,7 +46,8 @@ def ramp(schedule: FusionSchedule, horizon: int) -> np.ndarray:
     horizon end.
     """
     u = np.arange(horizon) / horizon
-    return 1.0 / (1.0 + np.exp(-schedule.ramp_sharpness * (u - schedule.ramp_midpoint)))
+    with np.errstate(over="ignore"):  # a steep ramp's exp overflows to inf: q is then 0
+        return 1.0 / (1.0 + np.exp(-schedule.ramp_sharpness * (u - schedule.ramp_midpoint)))
 
 
 def global_gate(schedule: FusionSchedule, horizon: int) -> np.ndarray:

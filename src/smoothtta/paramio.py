@@ -7,6 +7,7 @@ row-major float64 blocks. Round-trips are bit-exact.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -72,6 +73,14 @@ def load_blocks(path) -> tuple[dict, dict[str, np.ndarray]]:
                 raise ValueError(f"block {entry['name']!r} ends early: the file changed while read")
             blocks[entry["name"]] = data.reshape(entry["shape"])
     return head, blocks
+
+
+def digest(*arrays: np.ndarray) -> str:
+    """sha256 over the arrays' float64 bytes in order, those of `tobytes()`, uncopied."""
+    md = hashlib.sha256()
+    for arr in arrays:
+        md.update(np.ascontiguousarray(arr, dtype=np.float64))
+    return md.hexdigest()
 
 
 def _is_entry(entry) -> bool:

@@ -76,7 +76,6 @@ def run_contamination_grid(
     """
     if 0 not in ratios or not any(ratios) or len(set(ratios)) < len(ratios):
         raise ValueError(f"ratios must hold 0 and a nonzero ratio, none twice, got {tuple(ratios)}")
-    sigma = dataset.train_std()
     reports = {
         r: rollout(
             backbone,
@@ -84,7 +83,6 @@ def run_contamination_grid(
             config,
             decoder_params,
             contamination_ratio=r,
-            contamination_sigma=sigma,
         )
         for r in ratios
     }
@@ -198,23 +196,6 @@ def run_sweep(
             for value in points}
 
 
-@dataclass
-class BenchResult:
-    horizon: int
-    batch: int
-    channels: int
-    prefix: int
-    repetitions: int
-    ms_per_batch: float
-    ms_per_batch_var: float
-    ms_per_window: float
-    windows_per_second: float
-    decoder_parameters: int
-    decoder_macs_per_window: int
-    worker_busy_ms: float
-    caller_busy_ms: float
-
-
 def bench_latency(
     horizons: tuple[int, ...] = (96, 192, 336, 720),
     batch: int = 48,
@@ -223,16 +204,18 @@ def bench_latency(
     repetitions: int = 10,
     config: RolloutConfig | None = None,
     seed: int = 0,
-) -> list[BenchResult]:
+) -> list[dict]:
     """Correction-engine latency: `rollout` over `batch` synthetic windows per horizon.
 
     The windows come from a biased-oracle fixture with `channels` channels,
     whose backbone only reads a slice, and get a fixed `prefix`-step boundary
     and an untrained decoder. One untimed warm-up rollout builds the cached
-    operators. Reports medians over `repetitions` timed ones (ms per rollout,
-    its worker's and caller's busy ms), the decoder size, which grows with the
-    horizon because the decoder maps horizon-length fields, and its
-    multiply-adds per window, which also grow with the `prefix` it reads.
+    operators. Returns one `bench.csv` row per horizon: medians over
+    `repetitions` timed rollouts (ms per rollout and per window, windows per
+    second, the worker's and caller's busy ms), the variance of the ms per
+    rollout, the decoder size, which grows with the horizon because the
+    decoder maps horizon-length fields, and its multiply-adds per window,
+    which also grow with the `prefix` it reads.
     """
     base = config or RolloutConfig()
     results = []
@@ -252,20 +235,15 @@ def bench_latency(
             busy.append([timing["worker_busy_seconds"], timing["caller_busy_seconds"]])
         worker_ms, caller_ms = 1000.0 * np.median(busy, axis=0)
         med = float(np.median(times))
-        results.append(
-            BenchResult(
-                horizon=H,
-                batch=batch,
-                channels=channels,
-                prefix=prefix,
-                repetitions=repetitions,
-                ms_per_batch=med,
-                ms_per_batch_var=float(np.var(times)),
-                ms_per_window=med / batch,
-                windows_per_second=1000.0 * batch / med if med > 0 else float("inf"),
-                decoder_parameters=params.count(),
-                decoder_macs_per_window=params.macs_per_window(min(prefix, H), channels),
-                worker_busy_ms=worker_ms, caller_busy_ms=caller_ms,
-            )
-        )
+        results.append({
+            "horizon": H,
+            "ms_per_batch": med,
+            "ms_per_window": med / batch,
+            "windows_per_second": 1000.0 * batch / med if med > 0 else float("inf"),
+            "variance": float(np.var(times)),
+            "decoder_parameters": params.count(),
+            "decoder_macs_per_window": params.macs_per_window(min(prefix, H), channels),
+            "worker_busy_ms": worker_ms,
+            "caller_busy_ms": caller_ms,
+        })
     return results

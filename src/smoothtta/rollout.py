@@ -123,20 +123,19 @@ class EvalReport:
         return agg
 
     def summary(self) -> dict:
+        """The run's identity and counts, then `extra`: `rollout` fills it with `aggregate()`."""
         return {
             "dataset": self.dataset,
             "backbone": self.backbone,
             "n_windows": self.n_windows,
             "n_flagged": self.n_flagged,
-            **self.aggregate(),
             **self.extra,
         }
 
     def summary_row(self, keys=("mse_base", "mse_corrected", "improvement", *UNREVEALED_KEYS),
                     **lead) -> dict:
-        """One summary-CSV row: the `lead` columns, then the named aggregates."""
-        agg = self.aggregate()
-        return {**lead, **{k: agg[k] for k in keys}}
+        """One summary-CSV row: the `lead` columns, then the named aggregates from `extra`."""
+        return {**lead, **{k: self.extra[k] for k in keys}}
 
 
 def aggregate_rows(rows: list[dict], skip: int = 0, prefix: str = "") -> dict:
@@ -218,12 +217,13 @@ class _Plan:
 
     Unflagged windows feed the memory one at a time in chronological order,
     so a window's memory version counts the earlier unflagged windows it may
-    read: under the safe schedule those whose horizon has elapsed
-    (t_j + H <= t_i), under ``immediate`` all of them.
+    read: those with t_j + gap <= t_i, where `gap` is H under the safe
+    schedule (the horizon has elapsed) and 1 under ``immediate`` (all of them).
     """
 
     def __init__(self, starts: np.ndarray, horizon: int, schedule: str):
-        self.starts, self.horizon, self.schedule = starts, horizon, schedule
+        self.starts, self.horizon = starts, horizon
+        self.gap = horizon if schedule == "safe" else 1
         self.known = 0  # windows whose flags have arrived
         self.counts = np.zeros(len(starts) + 1, dtype=int)  # unflagged among the first k
         self.fed = np.full(len(starts) + 1, -horizon)  # fed[v]: start of the v-th unflagged
@@ -238,12 +238,9 @@ class _Plan:
         self.known = hi
         self.counts[lo + 1 : hi + 1] = self.counts[lo] + np.cumsum(ok)
         self.fed[self.counts[lo] + 1 : self.counts[hi] + 1] = self.starts[lo:hi][ok]
-        starts, H = self.starts[lo:hi], self.horizon
-        if self.schedule == "safe":
-            versions = self.counts[np.searchsorted(self.starts[:hi], starts - H, side="right")]
-        else:
-            versions = self.counts[lo:hi]
-        consumed = self.fed[versions] + H - 1  # last target a version-v memory has read
+        starts = self.starts[lo:hi]
+        versions = self.counts[np.searchsorted(self.starts[:hi], starts - self.gap, side="right")]
+        consumed = self.fed[versions] + self.horizon - 1  # last target a version-v memory has read
         leaks = np.flatnonzero(consumed >= starts)
         if leaks.size:
             i = leaks[0]
@@ -325,7 +322,6 @@ def _execute(plan: _Plan, backbone, dataset: Dataset, config: RolloutConfig,
     n_summaries = 0
     template, version = np.zeros((H, d)), 0  # the fold state
     pending: deque = deque()  # residuals not folded yet, in fold order
-    gap = H if plan.schedule == "safe" else 1  # a window at t may fold j iff t_j + gap <= t
 
     for lo in range(0, len(plan.starts), size):
         idx = np.arange(lo, min(lo + size, len(plan.starts)))
@@ -358,7 +354,7 @@ def _execute(plan: _Plan, backbone, dataset: Dataset, config: RolloutConfig,
             summaries[n_summaries : n_summaries + len(idx)] = residual_summaries(residuals)
             n_summaries += len(idx)
             # only windows that the last window may fold; starts ascend, so a prefix
-            pending.extend(residuals[: np.searchsorted(t + gap, plan.starts[-1], side="right")])
+            pending.extend(residuals[: np.searchsorted(t + plan.gap, plan.starts[-1], "right")])
             top = int(versions[-1])
             folds = [pending.popleft() for _ in range(top - version)]
             snapshots = fold_templates(template, folds, s.memory_decay)
@@ -412,25 +408,24 @@ class _OneAhead(ThreadPoolExecutor):
             yield item
 
 
-def _metrics(chunk: _Chunk, corrected: np.ndarray, sl: slice, unseen: np.ndarray | None = None):
-    """Per-window mean errors over steps `sl`; with `unseen` ((n, H), 1.0 on the steps to
-    sum, `sl` the whole horizon), also each window's base and corrected squared errors
-    summed over those steps, taken from the squares the means use, one held at a time."""
-    err_b = chunk.residuals[:, sl]
-    err_c = chunk.targets[:, sl] - corrected[:, sl]
-    mse, sums = [], []
-    for err in (err_b, err_c):
-        sq = err**2
-        mse.append(np.mean(sq, axis=(1, 2)).tolist())
-        if unseen is not None:  # one (1, H) @ (H, d) product per window
-            sums.append(np.matmul(unseen[:, None], sq).sum(axis=(1, 2)))
-        del sq
-    return {
-        "mse_base": mse[0],
-        "mse_corrected": mse[1],
-        "mae_base": np.mean(np.abs(err_b), axis=(1, 2)).tolist(),
-        "mae_corrected": np.mean(np.abs(err_c), axis=(1, 2)).tolist(),
-    }, sums
+def _scores(chunk: _Chunk, corrected: np.ndarray, slices: dict[str, slice]):
+    """A block's per-window mean errors over each of `slices`' steps, and (n, 3) sums: base
+    and corrected squared errors over the steps its mask leaves unobserved, and their count.
+    Each error's |e| is squared in place, one buffer at a time, for every slice and the sums."""
+    unseen = 1.0 - chunk.masks
+    columns = {p + k: None for p in slices for k in ("mse_base", "mse_corrected", "mae_base",
+                                                    "mae_corrected")}
+    sums = []
+    for kind, err in (("base", chunk.residuals), ("corrected", chunk.targets - corrected)):
+        mag = np.abs(err)
+        for p, sl in slices.items():
+            columns[f"{p}mae_{kind}"] = np.mean(mag[:, sl], axis=(1, 2)).tolist()
+        mag *= mag  # |e| * |e| == e**2, bit for bit
+        for p, sl in slices.items():
+            columns[f"{p}mse_{kind}"] = np.mean(mag[:, sl], axis=(1, 2)).tolist()
+        sums.append(np.matmul(unseen[:, None], mag).sum(axis=(1, 2)))  # (1, H) @ (H, d) each
+        del mag
+    return columns, np.stack([*sums, unseen.sum(axis=1) * corrected.shape[2]], axis=1)
 
 
 def rollout(
@@ -456,7 +451,7 @@ def rollout(
     each in blocks of at most `BLOCK_ROWS` decoder rows, which bound its
     activations. `timing` records both threads' busy seconds. `unrevealed`
     holds each window's squared errors summed over the steps its mask leaves
-    unobserved, from the whole-horizon squares the headline metrics use.
+    unobserved, from the same squares as the metric columns (`_scores`).
     """
     config.validate()
     if anchors is not None and contamination_ratio > 0:
@@ -468,8 +463,7 @@ def rollout(
     fold = use_decoder and decoder_params.reads_memory and not s.no_memory
     backbone_digest = backbone.param_digest()
     sigma = contamination_sigma if contamination_sigma is not None else dataset.train_std()
-    every = slice(0, H)
-    slices = {"": headline_slice if headline_slice is not None else every}
+    slices = {"": headline_slice if headline_slice is not None else slice(0, H)}
     slices.update({f"{name}_": sl for name, sl in (extra_slices or {}).items()})
 
     plan = _Plan(_window_starts(dataset, config), H, config.memory_schedule)
@@ -500,20 +494,15 @@ def rollout(
                 # all windows of a chunk have a boundary or none has (zero-shot forecasts stay)
                 delta = correction(c, span) if c.lengths.any() else np.zeros_like(c.forecasts)
                 corrected = c.forecasts + delta
+                scores, sums = _scores(c, corrected, slices)
                 columns = {
                     "window": c.windows.tolist(),
                     "start": c.starts.tolist(),
                     "prefix_length": c.lengths.tolist(),
                     "memory_version": c.versions.tolist(),
+                    **scores,
                 }
-                unseen, sums = 1.0 - c.masks, []  # the steps each boundary left unobserved
-                for prefix, sl in slices.items():
-                    metrics, found = _metrics(c, corrected, sl, unseen if sl == every else None)
-                    columns.update({prefix + k: v for k, v in metrics.items()})
-                    sums = found or sums
-                if not sums:  # the headline scores some steps only; the sums need every step
-                    sums = _metrics(c, corrected, every, unseen)[1]
-                unrevealed.append(np.stack([*sums, unseen.sum(axis=1) * dataset.channels], axis=1))
+                unrevealed.append(sums)
                 rows.extend(dict(zip(columns, values)) for values in zip(*columns.values()))
             busy += time.perf_counter() - started
     elapsed = time.perf_counter() - t0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import smoothtta
 import smoothtta.backbones as bb
 import smoothtta.decoder as dec
 from smoothtta import cli, paramio
-from smoothtta.config import ABLATION_SWITCHES
+from smoothtta.config import ABLATION_SWITCHES, RolloutConfig, SolverConfig
 
 BASE = [sys.executable, "-m", "smoothtta"]
 
@@ -1040,3 +1041,172 @@ def test_unrevealed_figures_reach_the_manifests_and_the_unpinned_summaries(workd
         assert all(np.isfinite(aggregates[key]) for key in keys)
         metrics = manifest.with_name(manifest.name.replace("manifest", "metrics")).with_suffix(".csv")
         assert "unrevealed" not in metrics.read_text().splitlines()[0]
+
+
+@pytest.mark.parametrize("command, extra, manifest", [
+    ("ablate", [], "ablate/manifest_full.json"),
+    ("sparse-boundary", ["--near", "1:2", "--far", "7:8"], "sparse-boundary/manifest.json"),
+    ("sparse-anchor", ["--ratios", "0.5", "--support", "4", "--eval", "5:8"],
+     "sparse-anchor/manifest_ratio_0.5.json"),
+    ("sweep", ["--parameter", "smoothness_alpha", "--grid", "0.5"],
+     "sweep/manifest_smoothness_alpha_0.5.json"),
+])
+def test_each_protocol_reads_its_config_file_once(workdir, monkeypatch, command, extra, manifest):
+    # a second read may see other settings (a pipe such as --config /dev/stdin
+    # reads empty), so the configuration a command validates must be the one it runs
+    reads = []
+
+    def counted(path):
+        reads.append(path)
+        return load(path)
+
+    load = cli.load_config_file
+    monkeypatch.setattr(cli, "load_config_file", counted)
+    config = workdir / "read_once.cfg"
+    config.write_text("memory_decay = 0.8\n")
+    out = f"run_config_once_{command}"
+    assert _in_process(workdir, command, "--config", str(config), *extra, out=out) == 0
+    assert reads == [str(config)]
+    solver = json.loads((workdir / out / manifest).read_text())["config"]["solver"]
+    assert solver["memory_decay"] == 0.8
+
+
+# The CLI contract fuzzer: whatever the flags, settings and CSV, a command exits
+# 0, 2, 3 or 4 and raises nothing. Sizes are small, or 2**44, past any address
+# space, so numpy refuses such an array at once; no command starts over two threads.
+# An example is valid but for at most one flag, so that about half get to the run.
+_HUGE = str(2**44)
+_WILD = ["0", "-1", "1e-20", "1e300", "nan", "inf", "-inf", "x", "", "none", _HUGE]
+_KEY_VALUES = {  # a few valid values per setting, by the type of its default
+    f.name: {bool: ["true", "false"], int: ["1", "2", "3"], float: ["0.05", "0.5", "1.5"],
+             }[type(f.default)] for f in dataclasses.fields(SolverConfig)
+}
+_KEY_VALUES.update(lookback=["16"], horizon=["8"], stride=["1", "2", "none"],
+                   prefix=["fft", "0", "3"], seed=["0", "7"], standardize=["true", "false"],
+                   memory_schedule=["safe", "immediate"], max_windows=["5", "none"])
+_BAD_CSVS = ["short", "ragged", "header-only", "all-text", "empty", "gappy", "missing"]
+
+
+def _fuzz_csv(workdir, kind: str) -> Path:
+    """The toy CSV ("toy") or one of `_BAD_CSVS` made from it."""
+    path = workdir / f"fuzz_{kind}.csv"
+    lines = (workdir / "toy.csv").read_text().splitlines()
+    text = {
+        "toy": lines,
+        "short": lines[:40],
+        "ragged": [line + (",0.5" if i % 7 == 3 else "") for i, line in enumerate(lines)],
+        "header-only": ["a,b"],
+        "all-text": ["a,b"] + ["x,y"] * 50,
+        "empty": [],
+        "gappy": [",".join(("" if (i + j) % 11 == 0 else "nan" if (i * j) % 13 == 5 else c)
+                           for j, c in enumerate(line.split(","))) for i, line in enumerate(lines)],
+    }.get(kind)
+    if text is not None:
+        path.write_text("\n".join(text) + ("\n" if text else ""))
+    return path
+
+
+# flags every example passes: their defaults do not fit the toy's L=16, H=8, or take seconds
+_ALWAYS = ("--lookback", "--horizon", "--horizons", "--batch", "--reps", "--near", "--far",
+           "--support", "--eval", "--parameter")
+
+
+def _flags(command: str, workdir) -> dict[str, tuple[list, list]]:
+    """Each flag `command` takes here, with (valid values, wild values); "" is a bare switch,
+    passed only when wild if it has no valid value."""
+    if command == "bench":
+        counts = (["1", "2", "3"], ["-1", "0", "x"])
+        return {"--horizons": (["2", "3,8"], ["1", "x", "8,8", "-2"]), "--batch": counts,
+                "--channels": counts, "--reps": counts, "--prefix-len": counts,
+                "--seed": (["0", "5"], ["-1", str(2**70)])}
+    if command == "dump-schedule":
+        share = (["0.25", "0.5", "2"], _WILD)
+        return {"--horizon": (["1", "8"], ["-3", "0", "x"]), "--global-mix": share,
+                "--ramp-sharpness": share, "--ramp-midpoint": share, "--clip": share}
+    flags = {
+        "--lookback": (["16"], ["4", "2", _HUGE]),
+        "--horizon": (["8"], ["2", "1", "16", _HUGE]),
+        "--policy": (["drop-row", "forward-fill"], ["x"]),
+        "--split": (["standard", "0.5:0.25:0.25"], ["1:1", "x:1:1", "0:0.5:0.5", "nan:1:1"]),
+        "--stride": (["1", "2"], ["0", "x", _HUGE]),
+        "--seed": (["0", "3"], ["-1", str(2**70)]),
+        "--prefix": (["fft", "0", "3"], ["8", "-1", "x"]),
+        "--max-windows": (["5", "40"], ["-1", "0", _HUGE]),
+        "--memory-schedule": (["safe"], ["immediate", "x"]),
+        "--ridge": (["1e-3", "0.5"], _WILD),
+        "--backbone": ([str(workdir / "backbone.params")], [str(workdir / "toy.csv")]),
+        "--decoder": ([str(workdir / "decoder.params")], [str(workdir / "toy.csv")]),
+        "--no-standardize": ([""], [""]),
+        "--normalize-backbone": ([""], [""]),
+        # ablate refuses a switch: it runs each itself
+        **{"--" + s.replace("_", "-"): ([] if command == "ablate" else [""], [""])
+           for s in ABLATION_SWITCHES},
+    }
+    flags.update({
+        "contaminate": {"--ratios": (["0,0.5", "0,0.05,0.5"], ["0.5", "0,x", "0,0", "2"])},
+        "sparse-anchor": {"--ratios": (["0.5", "0.05,0.5"], ["x", "0.5,0.5", "2"]),
+                          "--support": (["4"], ["-3", "0", "8"]),
+                          "--eval": (["5:8"], ["1:9", "4:4", "x"])},
+        "sparse-boundary": {"--k": (["0", "3"], ["-3", "8"]), "--near": (["1:2"], ["2:1", "0:3"]),
+                            "--far": (["7:8"], ["7:9", "x"])},
+        "sweep": {"--parameter": (["memory_decay", "smoothness_alpha", "prefix"], ["x"]),
+                  "--grid": (["0.5", "2,fft"], ["0.5,x", "1,1", "-1"])},
+    }.get(command, {}))
+    return flags
+
+
+@st.composite
+def _cli_argv(draw, workdir) -> list[str]:
+    """A subcommand with fuzzed flags, `--set`/`--config` settings and CSV."""
+    command = draw(st.sampled_from(["fit-backbone", "train-decoder", "rollout", "ablate",
+                                    "contaminate", "sparse-boundary", "sparse-anchor", "sweep",
+                                    "bench", "dump-schedule"]))
+    out = workdir / "run_cli_fuzz"
+    flags = _flags(command, workdir)
+    takes_data = command not in ("bench", "dump-schedule")
+    spots = list(flags) + (["--data", "--set", "--config"] if takes_data else [])
+    wild = draw(st.sampled_from([None] * len(spots) + spots))  # at most one faulty spot
+    argv = [command]
+    for flag, (valid, bad) in flags.items():
+        if flag == wild or valid and (flag in _ALWAYS or draw(st.booleans())):
+            value = draw(st.sampled_from(bad if flag == wild else valid))
+            argv.append(f"{flag}={value}" if value else flag)
+    if command == "dump-schedule":
+        return argv + ["--out", str(out / "schedule.csv")]
+    argv += ["--out-dir", str(out)]
+    if not takes_data:
+        return argv
+    kind = draw(st.sampled_from(_BAD_CSVS)) if wild == "--data" else "toy"
+    argv += ["--data", str(_fuzz_csv(workdir, kind))]
+    if command in ("fit-backbone", "train-decoder"):
+        argv += ["--out", str(out / "fuzz.params")]
+    keys = st.sampled_from(sorted(_KEY_VALUES))
+    pairs = draw(st.lists(keys.flatmap(lambda k: st.tuples(st.just(k), st.sampled_from(
+        _KEY_VALUES[k]))), max_size=3))
+    lines = [f"{k} = {v}" for k, v in pairs]
+    if wild in ("--set", "--config"):
+        key = draw(keys)
+        lines.append(draw(st.sampled_from([f"{key} = {v}" for v in _WILD]
+                                          + ["no equals sign", "bogus = 1", "prefix_length = 5"])))
+    if wild == "--config" or (wild != "--set" and draw(st.booleans())):
+        config = workdir / "fuzz.cfg"
+        config.write_text("".join(line + "\n" for line in lines))
+        return argv + [f"--config={config}"]
+    return argv + [f"--set={line.replace(' = ', '=')}" for line in lines]
+
+
+def test_any_command_line_exits_0_2_3_or_4(workdir, capsys):
+    keys = {f.name for config in (SolverConfig, RolloutConfig) for f in dataclasses.fields(config)}
+    assert set(_KEY_VALUES) == keys - {"solver"}  # the settings cover every config key
+
+    @settings(max_examples=150, deadline=None)
+    @given(argv=_cli_argv(workdir))
+    def property_(argv):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses a flag value with its usage error, 2
+            rc = exc.code
+        assert rc in (0, 2, 3, 4), argv
+        capsys.readouterr()
+
+    property_()

@@ -214,7 +214,7 @@ def test_bench_times_the_engine_rollout():
     for (backbone, dataset, cfg, params), _ in spy.call_args_list:
         assert (cfg.prefix, cfg.max_windows) == (3, 3)
         assert dataset.channels == 2 and params.horizon == cfg.horizon
-    assert [r.horizon for r in results] == [8, 16]
+    assert [r["horizon"] for r in results] == [8, 16]
 
 
 def test_variant_config_sets_exactly_one_switch(fx):
@@ -235,7 +235,7 @@ def test_sweep_rejects_a_non_integer_prefix(fx, trained):
 def test_bench_decoder_macs_fall_as_the_prefix_shrinks():
     macs = [
         bench_latency(horizons=(16,), batch=2, channels=2, prefix=prefix, repetitions=1)[0]
-        .decoder_macs_per_window
+        ["decoder_macs_per_window"]
         for prefix in (8, 4, 1)
     ]
     assert macs[0] > macs[1] > macs[2]
@@ -243,11 +243,11 @@ def test_bench_decoder_macs_fall_as_the_prefix_shrinks():
 
 def test_bench_reports_monotone_decoder_size():
     results = bench_latency(horizons=(8, 16, 32), batch=4, channels=2, prefix=3, repetitions=3)
-    sizes = [r.decoder_parameters for r in results]
+    sizes = [r["decoder_parameters"] for r in results]
     assert sizes == sorted(sizes)
     assert sizes[0] < sizes[-1]
     for r in results:
-        assert r.ms_per_batch > 0
-        assert r.ms_per_window == pytest.approx(r.ms_per_batch / r.batch)
-        assert r.windows_per_second > 0
-        assert r.decoder_macs_per_window > 0
+        assert r["ms_per_batch"] > 0
+        assert r["ms_per_window"] == pytest.approx(r["ms_per_batch"] / 4)
+        assert r["windows_per_second"] > 0
+        assert r["decoder_macs_per_window"] > 0
